@@ -17,20 +17,13 @@ import numpy as np
 
 from .media import AnnulusGeometry, LameParams
 from .nocore import (
-    CONDITION_NEAR_SINGULAR,
+    ModeSolution,
     NewtonianPotential,
     SourceModes,
     SourceTerm,
+    solve_mode,
 )
-from .potentials import (
-    mode_matrix_boundary,
-    polar_to_cartesian,
-    slp_trace,
-    traction_matrix,
-    two_radius_coupling,
-)
-
-_I2 = np.eye(2, dtype=complex)
+from .potentials import layered_system, polar_to_cartesian, region_energy, slp_trace
 
 
 class TuningFailedError(RuntimeError):
@@ -113,29 +106,9 @@ def assemble_calr_matrix(cfg: CoreShellConfig, n: int) -> np.ndarray:
     displacement then traction on the shell circle (incident data).
     """
     g = cfg.geometry
-    ri, re, om = g.r_inner, g.r_outer, cfg.omega
-    shell_blocks = two_radius_coupling(cfg.shell, om, ri, re, n)
-
-    trace_core = mode_matrix_boundary(cfg.core, om, ri, n)
-    trace_shell_ri = mode_matrix_boundary(cfg.shell, om, ri, n)
-    trac_core_in = traction_matrix(cfg.core, om, ri, n, side="interior_limit")
-    trac_shell_ri_out = traction_matrix(cfg.shell, om, ri, n, side="exterior_limit")
-
-    trace_shell_re = mode_matrix_boundary(cfg.shell, om, re, n)
-    trace_matrix_re = mode_matrix_boundary(cfg.matrix, om, re, n)
-    trac_shell_re_in = traction_matrix(cfg.shell, om, re, n, side="interior_limit")
-    trac_matrix_re_out = traction_matrix(cfg.matrix, om, re, n, side="exterior_limit")
-
-    z = np.zeros((2, 2), dtype=complex)
-    m = np.block(
-        [
-            [trace_core, -trace_shell_ri, -shell_blocks.trace_inner, z],
-            [trac_core_in, -trac_shell_ri_out, -shell_blocks.traction_inner, z],
-            [z, shell_blocks.trace_outer, trace_shell_re, -trace_matrix_re],
-            [z, shell_blocks.traction_outer, trac_shell_re_in, -trac_matrix_re_out],
-        ]
+    return layered_system(
+        (cfg.core, cfg.shell, cfg.matrix), (g.r_inner, g.r_outer), cfg.omega, n
     )
-    return m
 
 
 def calr_rhs(cfg: CoreShellConfig, term: SourceTerm) -> np.ndarray:
@@ -147,31 +120,9 @@ def calr_rhs(cfg: CoreShellConfig, term: SourceTerm) -> np.ndarray:
     return np.concatenate([np.zeros(4, dtype=complex), f, ft])
 
 
-@dataclass(frozen=True)
-class CalrModeSolution:
-    """Densities (4 boundary pairs) of one solved core-shell mode."""
-
-    n: int
-    phi: np.ndarray  # shape (4, 2): rows phi1..phi4 as (nu, t) pairs
-    residual: float
-    condition: float
-    near_singular: bool
-
-
-def solve_calr_mode(cfg: CoreShellConfig, term: SourceTerm) -> CalrModeSolution:
-    m = assemble_calr_matrix(cfg, term.n)
-    rhs = calr_rhs(cfg, term)
-    sol = np.linalg.solve(m, rhs)
-    res = np.linalg.norm(m @ sol - rhs)
-    scale = np.linalg.norm(m) * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    cond = float(np.linalg.cond(m))
-    return CalrModeSolution(
-        n=term.n,
-        phi=sol.reshape(4, 2),
-        residual=float(res / scale) if scale > 0 else float(res),
-        condition=cond,
-        near_singular=cond > CONDITION_NEAR_SINGULAR,
-    )
+def solve_calr_mode(cfg: CoreShellConfig, term: SourceTerm) -> ModeSolution:
+    """Densities phi1..phi4 of one mode (rows of `phi`, as (nu, t) pairs)."""
+    return solve_mode(assemble_calr_matrix(cfg, term.n), calr_rhs(cfg, term), n=term.n)
 
 
 def shifted_shell(cfg: CoreShellConfig, p: complex) -> LameParams:
@@ -277,7 +228,7 @@ class CoreShellField:
     """Piecewise displacement field of a solved core-shell configuration."""
 
     cfg: CoreShellConfig
-    solutions: tuple[CalrModeSolution, ...]
+    solutions: tuple[ModeSolution, ...]
     source: SourceModes
 
     def region(self, x) -> str:
@@ -317,31 +268,13 @@ class CoreShellField:
 def shell_dissipation(cfg: CoreShellConfig, solutions) -> float:
     """Im of the shell boundary form: outer-circle term minus inner-circle term.
 
-    Per mode both traces/tractions are assembled from the same blocks as the
-    system matrix; mode orthogonality keeps the circle integrals exact.
+    Read per mode off the solved system's shell columns (region 1 of the
+    layered system).
     """
-    g = cfg.geometry
-    ri, re, om = g.r_inner, g.r_outer, cfg.omega
+    radii = (cfg.geometry.r_inner, cfg.geometry.r_outer)
     total = 0.0
     for sol in solutions:
-        n = sol.n
-        blocks = two_radius_coupling(cfg.shell, om, ri, re, n)
-        u_re = blocks.trace_outer @ sol.phi[1] + mode_matrix_boundary(
-            cfg.shell, om, re, n
-        ) @ sol.phi[2]
-        w_re = blocks.traction_outer @ sol.phi[1] + traction_matrix(
-            cfg.shell, om, re, n, side="interior_limit"
-        ) @ sol.phi[2]
-        u_ri = mode_matrix_boundary(cfg.shell, om, ri, n) @ sol.phi[1] + (
-            blocks.trace_inner @ sol.phi[2]
-        )
-        w_ri = traction_matrix(cfg.shell, om, ri, n, side="exterior_limit") @ sol.phi[
-            1
-        ] + (blocks.traction_inner @ sol.phi[2])
-        total += 2.0 * math.pi * (
-            re * float(np.imag(np.vdot(u_re, w_re)))
-            - ri * float(np.imag(np.vdot(u_ri, w_ri)))
-        )
+        total += region_energy(sol.system, sol.phi, radii, 1)
     return total
 
 
@@ -351,13 +284,12 @@ class CalrReport:
 
     det_m: complex
     abs_det: float
-    tuned_p: complex
     critical_radius: float
     energy: float
     exterior_bound: float
     reference_bound: float
     verdict: Verdict
-    solutions: tuple[CalrModeSolution, ...]
+    solutions: tuple[ModeSolution, ...]
 
 
 def calr_energy(
@@ -400,7 +332,6 @@ def calr_energy(
     return CalrReport(
         det_m=detval,
         abs_det=abs(detval),
-        tuned_p=complex(cfg.shell.mu - shell_modulus(cfg.matrix, cfg.shell.mu.imag)),
         critical_radius=g.critical_radius,
         energy=energy,
         exterior_bound=u_max,

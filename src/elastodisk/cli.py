@@ -141,7 +141,6 @@ def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         c_other=_get(cfg, "sweep.c_other", float),
         scale=_get(cfg, "sweep.scale", str, default="linear",
                    choices={"linear", "log"}),
-        threads=args.threads,
     )
     rows = [
         (q.value, q.abs_psi11, q.energy, q.condition, q.residual)
@@ -203,8 +202,8 @@ def _field_object(cfg: dict, args):
     geo = AnnulusGeometry(
         _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
     )
-    cs_cfg, pinned = _calr_config(cfg, geo, omega)
-    if not pinned:
+    cs_cfg, p = _calr_config(cfg, geo, omega)
+    if p is None:
         raise ConfigError(
             "field kind 'calr' needs an explicit 'calr.p' (run the calr "
             "command first to tune it)"
@@ -250,15 +249,25 @@ def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         )
 
 
-def _calr_config(cfg: dict, geo: AnnulusGeometry, omega: float):
-    matrix = _material(cfg, "materials.matrix")
-    core = _material(cfg, "materials.core")
-    n0 = _get(cfg, "calr.n0", int)
-    delta = _get(cfg, "calr.delta", float, default=None)
-    p_node = _get(cfg, "calr.p", default=None)
-    p_tune = _as_complex(p_node) if p_node is not None else 0.0
-    cs = recipe_config(geo, matrix, core, omega, n0, p_tune=p_tune, delta=delta)
-    return cs, p_node is not None
+def _calr_config(cfg: dict, geo: AnnulusGeometry, omega: float, p=None):
+    """Recipe structure with tuning offset p, by default the pinned 'calr.p'.
+
+    Returns the structure and the offset it was built with (None when the
+    config pins none and p is not given).
+    """
+    if p is None:
+        p_node = _get(cfg, "calr.p", default=None)
+        p = _as_complex(p_node) if p_node is not None else None
+    cs = recipe_config(
+        geo,
+        _material(cfg, "materials.matrix"),
+        _material(cfg, "materials.core"),
+        omega,
+        _get(cfg, "calr.n0", int),
+        p_tune=0.0 if p is None else p,
+        delta=_get(cfg, "calr.delta", float, default=None),
+    )
+    return cs, p
 
 
 def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
@@ -268,9 +277,9 @@ def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
     )
     omega = _get(cfg, "omega", float)
-    cs_cfg, pinned = _calr_config(cfg, geo, omega)
+    cs_cfg, p = _calr_config(cfg, geo, omega)
     scan_rows = None
-    if not pinned:
+    if p is None:
         scan = _get(cfg, "calr.scan", default={})
         tuned = tune_p(
             cs_cfg,
@@ -280,15 +289,7 @@ def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
             min_dip_ratio=_get(scan, "min_dip_ratio", float, default=0.1),
         )
         scan_rows = list(zip(tuned.scan_p.tolist(), tuned.scan_abs_det.tolist()))
-        cs_cfg = recipe_config(
-            geo,
-            _material(cfg, "materials.matrix"),
-            _material(cfg, "materials.core"),
-            omega,
-            _get(cfg, "calr.n0", int),
-            p_tune=tuned.p,
-            delta=_get(cfg, "calr.delta", float, default=None),
-        )
+        cs_cfg, p = _calr_config(cfg, geo, omega, tuned.p)
     report = calr_energy(
         cs_cfg,
         _source(cfg),
@@ -298,7 +299,7 @@ def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     payload = {
         "det_m": [report.det_m.real, report.det_m.imag],
         "abs_det": report.abs_det,
-        "tuned_p": [report.tuned_p.real, report.tuned_p.imag],
+        "tuned_p": [complex(p).real, complex(p).imag],
         "critical_radius": report.critical_radius,
         "energy": report.energy,
         "exterior_bound": report.exterior_bound,
@@ -391,7 +392,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="YAML run configuration")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--svg", action="store_true", help="also emit SVG plots")
     args = parser.parse_args(argv)
 

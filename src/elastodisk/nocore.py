@@ -2,16 +2,14 @@
 mode-expanded incident potential.
 
 Per angular mode n the two transmission conditions on the circle reduce to a
-4x4 complex system for the interior/exterior layer densities.  The numeric
-block solve is the authoritative path; a hand-derived closed-form
-solution of the same system rides along purely as a cross-check (see
-`closed_form_coeffs`), kept verbatim although its denominator expression
-does not reduce to the block determinant.
+4x4 complex system for the interior/exterior layer densities: the one-interface
+case of `potentials.layered_system`.  `solve_mode` is the dense solve with
+residual and condition diagnostics for every layered system, the core-shell
+one included.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -20,15 +18,13 @@ import numpy as np
 from .media import LameParams, wavenumbers
 from .potentials import (
     WaveKind,
-    mode_matrix_boundary,
+    layered_system,
     polar_to_cartesian,
+    region_energy,
     slp_trace,
-    traction_matrix,
     wave_coeffs,
     wave_traction_coeffs,
 )
-
-_I2 = np.eye(2, dtype=complex)
 
 CONDITION_NEAR_SINGULAR = 1e14
 
@@ -146,31 +142,37 @@ def assemble_mode_system(
     p_in: LameParams, p_out: LameParams, omega: float, R: float, n: int
 ) -> np.ndarray:
     """[[That1, -T1], [That2, -T2]] acting on (psi1, psi2)."""
-    that1 = mode_matrix_boundary(p_in, omega, R, n)
-    t1 = mode_matrix_boundary(p_out, omega, R, n)
-    that2 = traction_matrix(p_in, omega, R, n, side="interior_limit")
-    t2 = traction_matrix(p_out, omega, R, n, side="exterior_limit")
-    top = np.hstack([that1, -t1])
-    bot = np.hstack([that2, -t2])
-    return np.vstack([top, bot])
+    return layered_system((p_in, p_out), (R,), omega, n)
 
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Densities of one solved mode plus solve diagnostics."""
+    """Densities of one solved mode of a layered system plus solve diagnostics.
+
+    `phi` holds the (nu, t) density pairs in the unknown order of
+    `layered_system`, (psi_j^in, psi_j^out) per circle; `system` is the
+    matrix that was solved, kept for the region energies.
+    """
 
     n: int
-    psi1: np.ndarray
-    psi2: np.ndarray
+    system: np.ndarray
+    phi: np.ndarray
     residual: float
     condition: float
     near_singular: bool
-    closed_form_psi11: complex
+
+    @property
+    def psi1(self) -> np.ndarray:
+        """Disk: the interior density psi1."""
+        return self.phi[0]
+
+    @property
+    def psi2(self) -> np.ndarray:
+        """Disk: the exterior density psi2."""
+        return self.phi[1]
 
 
-def solve_mode(
-    system: np.ndarray, rhs: np.ndarray, n: int = 0, closed_form_psi11: complex = 0j
-) -> ModeSolution:
+def solve_mode(system: np.ndarray, rhs: np.ndarray, n: int = 0) -> ModeSolution:
     """Dense partial-pivoting solve with residual and condition diagnostics.
 
     A condition estimate beyond 1e14 sets the near-singular flag: that is
@@ -182,12 +184,11 @@ def solve_mode(
     cond = float(np.linalg.cond(system))
     return ModeSolution(
         n=n,
-        psi1=sol[:2],
-        psi2=sol[2:],
+        system=system,
+        phi=sol.reshape(-1, 2),
         residual=float(res / scale) if scale > 0 else float(res),
         condition=cond,
         near_singular=cond > CONDITION_NEAR_SINGULAR,
-        closed_form_psi11=closed_form_psi11,
     )
 
 
@@ -198,97 +199,26 @@ def solve_modes(
     R: float,
     src: SourceModes,
 ) -> list[ModeSolution]:
-    """Solve every source mode; closed-form cross-check value attached."""
+    """Solve every source mode of the disk."""
     data = source_boundary_data(src, p_out, omega, R)
     out = []
     for term in src.terms:
         f, ft = data[term.n]
         system = assemble_mode_system(p_in, p_out, omega, R, term.n)
         rhs = np.concatenate([f, ft])
-        c1, _, d = closed_form_coeffs(p_in, p_out, omega, R, term.n, f, ft)
-        cf = c1 / d if d != 0 else complex("nan")
-        out.append(solve_mode(system, rhs, n=term.n, closed_form_psi11=cf))
+        out.append(solve_mode(system, rhs, n=term.n))
     return out
 
 
-def closed_form_coeffs(
-    p_in: LameParams,
-    p_out: LameParams,
-    omega: float,
-    R: float,
-    n: int,
-    f: np.ndarray,
-    ft: np.ndarray,
-) -> tuple[complex, complex, complex]:
-    """(c1, c2, d): the hand-derived closed form of the mode system, verbatim.
+def dissipation_energy(solutions: Iterable[ModeSolution], R: float) -> float:
+    """Im of the interior boundary form of the disk, summed over modes.
 
-    Kept solely as a cross-check of the numeric solve.  The numerators are
-    exact; the denominator expression repeats one cofactor pairing and
-    closes with a product where a difference of products belongs, so c/d
-    only reproduces the solve up to those defects (the test suite carries
-    the corrected six-term expansion and quantifies the gap).
+    Each mode contributes 2 pi R Im <traction, conj(trace)> with both
+    factors taken from the interior columns of its solved system.
     """
-    ah = mode_matrix_boundary(p_in, omega, R, n)
-    a = mode_matrix_boundary(p_out, omega, R, n)
-    gh = traction_matrix(p_in, omega, R, n, side="exterior_limit")
-    g = traction_matrix(p_out, omega, R, n, side="exterior_limit")
-    a1, a3, a2, a4 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    ah1, ah3, ah2, ah4 = ah[0, 0], ah[0, 1], ah[1, 0], ah[1, 1]
-    g1, g3, g2, g4 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    gh1, gh3, gh2, gh4 = gh[0, 0], gh[0, 1], gh[1, 0], gh[1, 1]
-    f1, f2 = f[0], f[1]
-    ft1, ft2 = ft[0], ft[1]
-
-    c1 = (
-        (f2 * ah3 - f1 * ah4) * (g3 * g2 - g1 * g4)
-        + (f2 * (gh4 - 1) - ft2 * ah4) * (g1 * a3 - g3 * a1)
-        + (f2 * gh3 - ft1 * ah4) * (g4 * a1 - g2 * a3)
-        + (f1 * (gh4 - 1) - ft2 * ah3) * (g3 * a2 - g1 * a4)
-        + (f1 * gh3 - ft1 * ah3) * (g2 * a4 - g4 * a2)
-        + (ft1 * (gh4 - 1) - ft2 * gh3) * (a1 * a4 - a3 * a2)
-    )
-    c2 = (
-        (f2 * ah1 - f1 * ah2) * (g1 * g4 - g3 * g2)
-        + (ft2 * (gh1 - 1) - ft1 * gh2) * (a1 * a4 - a3 * a2)
-        + (f1 * gh2 - ft2 * ah1) * (g1 * a4 - g3 * a2)
-        + (f2 * (gh1 - 1) - ft1 * ah2) * (g2 * a3 - g4 * a1)
-        + (f2 * gh2 - ft2 * ah2) * (g3 * a1 - g1 * a3)
-        + (f1 * (gh1 - 1) - ft1 * ah1) * (g4 * a2 - g2 * a4)
-    )
-    d = (
-        (ah1 * ah4 - ah3 * ah2) * (g1 * g4 - g3 * g2)
-        + (gh3 * ah2 - ah4 * (gh1 - 1)) * (g4 * a1 - g2 * a3)
-        + (gh3 * ah2 - ah4 * (gh1 - 1)) * (a1 * g4 - g2 * a3)
-        + (ah3 * gh2 - ah1 * (gh4 - 1)) * (g1 * a4 - g3 * a2)
-        + (ah1 * gh3 - ah3 * (gh1 - 1)) * (g2 * a4 - g4 * a2)
-        + (gh2 * gh3 * (gh4 - 1) * (gh1 - 1)) * (a3 * a2 - a1 * a4)
-    )
-    return complex(c1), complex(c2), complex(d)
-
-
-def dissipation_energy(
-    solutions: Iterable[ModeSolution],
-    p_shell: LameParams,
-    omega: float,
-    R: float,
-) -> float:
-    """Im of the interior boundary form, summed over modes.
-
-    Mode orthogonality makes the circle integral exact: each mode
-    contributes 2 pi R Im <traction, conj(trace)> with both factors taken
-    from the interior representation.
-    """
-    that1 = {}
-    that2 = {}
     total = 0.0
     for sol in solutions:
-        n = sol.n
-        if n not in that1:
-            that1[n] = mode_matrix_boundary(p_shell, omega, R, n)
-            that2[n] = traction_matrix(p_shell, omega, R, n, side="interior_limit")
-        trace = that1[n] @ sol.psi1
-        trac = that2[n] @ sol.psi1
-        total += 2.0 * math.pi * R * float(np.imag(np.vdot(trace, trac)))
+        total += region_energy(sol.system, sol.phi, (R,), 0)
     return total
 
 
@@ -342,14 +272,14 @@ def sweep(
     source: SourceModes,
     c_other: float,
     scale: str = "linear",
-    threads: int = 1,
 ) -> SweepResult:
     """Contrast sweep: shell parameters are c * (lam, mu) of the matrix.
 
     axis "re_c" sweeps Re c with Im c = c_other; axis "im_c" sweeps Im c
-    (usually log-scaled) with Re c = c_other.  Points are independent and
-    evaluated in parallel when threads > 1 with deterministic row order;
-    per-point failures are recorded in-row and the sweep continues.
+    (usually log-scaled) with Re c = c_other.  Numeric failures of a point
+    (ValueError, which covers LinAlgError and the degenerate-material and
+    normalization errors, and ArithmeticError) are recorded in-row and the
+    sweep continues; any other exception propagates.
     """
     if axis not in ("re_c", "im_c"):
         raise ValueError(f"axis must be 're_c' or 'im_c', got {axis!r}")
@@ -359,22 +289,17 @@ def sweep(
         c = complex(v, c_other) if axis == "re_c" else complex(c_other, v)
         try:
             sols = solve_modes(matrix.scaled(c), matrix, omega, R, source)
-            energy = dissipation_energy(sols, matrix.scaled(c), omega, R)
+            energy = dissipation_energy(sols, R)
             apsi = max(abs(s.psi1[0]) for s in sols)
             cond = max(s.condition for s in sols)
             resid = max(s.residual for s in sols)
             return SweepPoint(float(v), c, apsi, energy, cond, resid)
-        except Exception as exc:  # recorded per-row, sweep continues
+        except (ValueError, ArithmeticError) as exc:
             return SweepPoint(
                 float(v), c, math.nan, math.nan, math.nan, math.nan, repr(exc)
             )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(run_one, values))
-    else:
-        points = [run_one(v) for v in values]
-    return SweepResult(axis=axis, points=points)
+    return SweepResult(axis=axis, points=[run_one(v) for v in values])
 
 
 @dataclass(frozen=True)

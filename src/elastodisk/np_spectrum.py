@@ -4,7 +4,8 @@ On a circle the traction N-P operator maps the span of
 (e^{in theta} nu, e^{in theta} t) to itself; its 2x2 matrix in that basis is
 the exterior SLP traction matrix minus half the identity.  The closed-form
 eigensystem covers four degeneracy cases, including a genuine Jordan block
-that has no static counterpart.
+that has no static counterpart, and tags matrices whose entries overflowed
+(high orders at low frequency) as non-finite instead.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ class EigCase(enum.Enum):
     DIAGONAL_DISTINCT = "diagonal_distinct"  # a2 = 0, a1 != b2
     DIAGONAL_EQUAL = "diagonal_equal"      # a2 = 0, a1 = b2, b1 = 0
     JORDAN = "jordan"                      # a2 = 0, a1 = b2, b1 != 0
+    NON_FINITE = "non_finite"              # an entry is inf or nan
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,8 @@ class NpEigenSystem:
     """Eigenvalues/eigenvectors of one mode matrix in the (nu, t) basis.
 
     In the JORDAN case the second vector is the generalized eigenvector:
-    (T - xi1 I) p2 = p1.
+    (T - xi1 I) p2 = p1.  In the NON_FINITE case eigenvalues and vectors
+    are nan.
     """
 
     case_tag: EigCase
@@ -92,6 +95,12 @@ def np_eigensystem(m: NpModeMatrix, tol: float | None = None) -> NpEigenSystem:
         tol = 1e-10 * scale
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+
+    if not np.all(np.isfinite(t)):
+        # every comparison below is false for nan, which would read as JORDAN
+        nan = complex(cmath.nan, cmath.nan)
+        vecs = (np.full(2, nan), np.full(2, nan))
+        return NpEigenSystem(EigCase.NON_FINITE, (nan, nan), vecs, m.order)
 
     if abs(a2) > tol:
         disc = cmath.sqrt(a1 * a1 - 2.0 * a1 * b2 + 4.0 * a2 * b1 + b2 * b2)

@@ -9,14 +9,16 @@ The vector single-layer potential is evaluated through its decomposition
 into shear/pressure wave basis fields (Q and P families) rather than the
 raw two-sideband Hankel expressions: fewer cancellations, and one code path
 serves field evaluation, boundary matrices and the two-radius couplings of
-the core-shell system alike.
+the core-shell system alike.  `layered_system` assembles the transmission
+system of any number of concentric interfaces from these blocks, and
+`region_energy` reads a region's dissipation back off that system.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -306,3 +308,64 @@ def two_radius_coupling(
         trace_outer=slp_trace(p, omega, r_inner, n, r_outer),
         traction_outer=slp_traction_offboundary(p, omega, r_inner, n, r_outer),
     )
+
+
+def layered_system(
+    materials: Sequence[LameParams], radii: Sequence[float], omega: float, n: int
+) -> np.ndarray:
+    """4L x 4L transmission system of L concentric interfaces for mode n.
+
+    materials[0] fills the disk inside radii[0], materials[j] the annulus
+    between radii[j-1] and radii[j], materials[L] the exterior.  Unknowns are
+    (psi_j^in, psi_j^out) per circle j: the densities on radii[j] of the
+    regions inside and outside it.  Row block j is the field of region j
+    minus that of region j+1 at radii[j], trace rows then traction rows, so
+    the incident data enter the right-hand side of the last block only.
+    """
+    L = len(radii)
+    if L < 1 or len(materials) != L + 1:
+        raise ValueError("need at least one radius and one more material than radii")
+    m = np.zeros((4 * L, 4 * L), dtype=complex)
+    for j, r in enumerate(radii):
+        a, b = 4 * j, 4 * j + 2  # trace/traction rows; psi_j^in/psi_j^out columns
+        m[a : a + 2, a : a + 2] = mode_matrix_boundary(materials[j], omega, r, n)
+        m[b : b + 2, a : a + 2] = traction_matrix(
+            materials[j], omega, r, n, "interior_limit"
+        )
+        m[a : a + 2, b : b + 2] = -mode_matrix_boundary(materials[j + 1], omega, r, n)
+        m[b : b + 2, b : b + 2] = -traction_matrix(
+            materials[j + 1], omega, r, n, "exterior_limit"
+        )
+    for j in range(1, L):  # annulus j couples psi_{j-1}^out and psi_j^in
+        c = two_radius_coupling(materials[j], omega, radii[j - 1], radii[j], n)
+        a = 4 * j
+        m[a - 4 : a - 2, a : a + 2] = -c.trace_inner
+        m[a - 2 : a, a : a + 2] = -c.traction_inner
+        m[a : a + 2, a - 2 : a] = c.trace_outer
+        m[a + 2 : a + 4, a - 2 : a] = c.traction_outer
+    return m
+
+
+def region_energy(
+    system: np.ndarray, densities: np.ndarray, radii: Sequence[float], k: int
+) -> float:
+    """Im of the boundary form of bounded region k of a solved layered system.
+
+    2 pi r Im <traction, conj(trace)> on the region's outer circle minus the
+    same on its inner one (none for the disk k = 0).  Both one-sided limits
+    of region k's field are its columns of `system` applied to its two
+    densities (psi_{k-1}^out, psi_k^in): row block k on the outer circle,
+    row block k-1, where they enter negated, on the inner one.  Mode
+    orthogonality keeps the circle integrals exact.
+    """
+    if not 0 <= k < len(radii):
+        raise ValueError("region index must name a bounded region")
+    x = np.ravel(densities)
+    lo, hi = max(4 * k - 2, 0), 4 * k + 2
+    total = 0.0
+    for i, sign in ((k, 1.0), (k - 1, -1.0)):
+        if i >= 0:
+            rows = system[4 * i : 4 * i + 4, lo:hi]
+            u, w = rows[:2] @ x[lo:hi], rows[2:] @ x[lo:hi]
+            total += sign * 2.0 * math.pi * radii[i] * float(np.imag(np.vdot(u, w)))
+    return total

@@ -27,7 +27,9 @@ from elastodisk.nocore import (
     SourceModes,
     SourceTerm,
     assemble_mode_system,
+    solve_mode,
 )
+from elastodisk.potentials import layered_system
 
 GEO = AnnulusGeometry(0.8, 1.0)
 P11 = LameParams(1.0, 1.0)
@@ -66,6 +68,21 @@ class TestAssembly:
         corner = m[4:8, 4:8]
         ref = assemble_mode_system(cfg.shell, cfg.matrix, OMEGA, GEO.r_outer, 7)
         assert np.max(np.abs(corner - ref)) == 0.0
+
+    @pytest.mark.parametrize("n", [5, 25])
+    def test_split_shell_matches_two_interfaces(self, n):
+        # splitting the shell at r = 0.9 into two layers of the same
+        # material adds an interface across which nothing changes
+        cfg = fig_config()
+        term = SourceTerm(n, 1.0, 0.0)
+        ref = solve_calr_mode(cfg, term)
+        m = layered_system(
+            (cfg.core, cfg.shell, cfg.shell, cfg.matrix), (0.8, 0.9, 1.0), OMEGA, n
+        )
+        rhs = np.concatenate([np.zeros(4, dtype=complex), calr_rhs(cfg, term)])
+        split = solve_mode(m, rhs, n=n)
+        for got, want in ((split.phi[0], ref.phi[0]), (split.phi[5], ref.phi[3])):
+            assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
 
     def test_rhs_layout(self):
         cfg = fig_config()

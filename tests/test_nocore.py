@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_traction
+from elastodisk import nocore
 from elastodisk.media import LameParams
 from elastodisk.nocore import (
     NewtonianPotential,
@@ -14,7 +15,6 @@ from elastodisk.nocore import (
     SourceTerm,
     assemble_mode_system,
     dissipation_energy,
-    closed_form_coeffs,
     solve_mode,
     solve_modes,
     source_boundary_data,
@@ -56,6 +56,61 @@ def corrected_denominator(p_in, p_out, omega, R, n) -> complex:
         + (ah1 * gh3 - ah3 * (gh1 - 1)) * (g2 * a4 - g4 * a2)
         + (gh2 * gh3 - (gh4 - 1) * (gh1 - 1)) * (a3 * a2 - a1 * a4)
     )
+
+
+def closed_form_coeffs(
+    p_in: LameParams,
+    p_out: LameParams,
+    omega: float,
+    R: float,
+    n: int,
+    f: np.ndarray,
+    ft: np.ndarray,
+) -> tuple[complex, complex, complex]:
+    """(c1, c2, d): the hand-derived closed form of the mode system, verbatim.
+
+    Kept solely as a cross-check of the numeric solve.  The numerators are
+    exact; the denominator expression repeats one cofactor pairing and
+    closes with a product where a difference of products belongs, so c/d
+    only reproduces the solve up to those defects (the test suite carries
+    the corrected six-term expansion and quantifies the gap).
+    """
+    ah = mode_matrix_boundary(p_in, omega, R, n)
+    a = mode_matrix_boundary(p_out, omega, R, n)
+    gh = traction_matrix(p_in, omega, R, n, side="exterior_limit")
+    g = traction_matrix(p_out, omega, R, n, side="exterior_limit")
+    a1, a3, a2, a4 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    ah1, ah3, ah2, ah4 = ah[0, 0], ah[0, 1], ah[1, 0], ah[1, 1]
+    g1, g3, g2, g4 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    gh1, gh3, gh2, gh4 = gh[0, 0], gh[0, 1], gh[1, 0], gh[1, 1]
+    f1, f2 = f[0], f[1]
+    ft1, ft2 = ft[0], ft[1]
+
+    c1 = (
+        (f2 * ah3 - f1 * ah4) * (g3 * g2 - g1 * g4)
+        + (f2 * (gh4 - 1) - ft2 * ah4) * (g1 * a3 - g3 * a1)
+        + (f2 * gh3 - ft1 * ah4) * (g4 * a1 - g2 * a3)
+        + (f1 * (gh4 - 1) - ft2 * ah3) * (g3 * a2 - g1 * a4)
+        + (f1 * gh3 - ft1 * ah3) * (g2 * a4 - g4 * a2)
+        + (ft1 * (gh4 - 1) - ft2 * gh3) * (a1 * a4 - a3 * a2)
+    )
+    c2 = (
+        (f2 * ah1 - f1 * ah2) * (g1 * g4 - g3 * g2)
+        + (ft2 * (gh1 - 1) - ft1 * gh2) * (a1 * a4 - a3 * a2)
+        + (f1 * gh2 - ft2 * ah1) * (g1 * a4 - g3 * a2)
+        + (f2 * (gh1 - 1) - ft1 * ah2) * (g2 * a3 - g4 * a1)
+        + (f2 * gh2 - ft2 * ah2) * (g3 * a1 - g1 * a3)
+        + (f1 * (gh1 - 1) - ft1 * ah1) * (g4 * a2 - g2 * a4)
+    )
+    d = (
+        (ah1 * ah4 - ah3 * ah2) * (g1 * g4 - g3 * g2)
+        + (gh3 * ah2 - ah4 * (gh1 - 1)) * (g4 * a1 - g2 * a3)
+        + (gh3 * ah2 - ah4 * (gh1 - 1)) * (a1 * g4 - g2 * a3)
+        + (ah3 * gh2 - ah1 * (gh4 - 1)) * (g1 * a4 - g3 * a2)
+        + (ah1 * gh3 - ah3 * (gh1 - 1)) * (g2 * a4 - g4 * a2)
+        + (gh2 * gh3 * (gh4 - 1) * (gh1 - 1)) * (a3 * a2 - a1 * a4)
+    )
+    return complex(c1), complex(c2), complex(d)
 
 
 class TestSourceData:
@@ -203,7 +258,7 @@ class TestEnergy:
     def test_lossless_energy_vanishes(self):
         sols = solve_modes(P11.scaled(2.0 + 0j), P11, 1.0, 1.0,
                            SourceModes.single(5, 1.0, 0.0))
-        e = dissipation_energy(sols, P11.scaled(2.0 + 0j), 1.0, 1.0)
+        e = dissipation_energy(sols, 1.0)
         scale = max(abs(s.psi1[0]) for s in sols) ** 2
         assert abs(e) < 1e-12 * scale
         assert e > -1e-12 * scale
@@ -212,7 +267,7 @@ class TestEnergy:
         c = complex(-1.9643, 1e-4)
         sols = solve_modes(P11.scaled(c), P11, 1.0, 1.0,
                            SourceModes.single(5, 1.0, 0.0))
-        assert dissipation_energy(sols, P11.scaled(c), 1.0, 1.0) > 0
+        assert dissipation_energy(sols, 1.0) > 0
 
     def test_quadratic_in_source(self):
         c = complex(-1.9643, 1e-4)
@@ -220,7 +275,7 @@ class TestEnergy:
         for kap in (1.0, 2.0):
             sols = solve_modes(P11.scaled(c), P11, 1.0, 1.0,
                                SourceModes.single(5, kap, 0.0))
-            e.append(dissipation_energy(sols, P11.scaled(c), 1.0, 1.0))
+            e.append(dissipation_energy(sols, 1.0))
         assert e[1] == pytest.approx(4.0 * e[0], rel=1e-12)
 
     def test_additivity_over_modes(self):
@@ -231,13 +286,13 @@ class TestEnergy:
         es = []
         for src in (src_a, src_b, src_ab):
             sols = solve_modes(P11.scaled(c), P11, 1.0, 1.0, src)
-            es.append(dissipation_energy(sols, P11.scaled(c), 1.0, 1.0))
+            es.append(dissipation_energy(sols, 1.0))
         assert es[2] == pytest.approx(es[0] + es[1], rel=1e-12)
 
     def test_energy_blowup_at_peak(self):
         sols = solve_modes(P11.scaled(C_STAR), P11, 1.0, 1.0,
                            SourceModes.single(5, 1.0, 0.0))
-        assert dissipation_energy(sols, P11.scaled(C_STAR), 1.0, 1.0) > 1e6
+        assert dissipation_energy(sols, 1.0) > 1e6
 
 
 class TestContrastLaw:
@@ -263,13 +318,6 @@ class TestSweep:
                              SourceModes.single(5, 1.0, 0.0))
         assert res.points[0].abs_psi11 == pytest.approx(abs(direct[0].psi1[0]))
 
-    def test_thread_determinism(self):
-        kw = dict(matrix=P11, omega=1.0, R=1.0,
-                  source=SourceModes.single(5, 1.0, 0.0), c_other=2.08e-9)
-        a = sweep("re_c", -2.0, -1.9, 41, threads=1, **kw)
-        b = sweep("re_c", -2.0, -1.9, 41, threads=4, **kw)
-        assert [p.abs_psi11 for p in a.points] == [p.abs_psi11 for p in b.points]
-
     def test_errors_recorded_in_row(self):
         # omega <= 0 canned inside a point cannot happen; force failure via a
         # degenerate material in the sweep by passing mu=0 contrast c=0
@@ -277,6 +325,16 @@ class TestSweep:
                     source=SourceModes.single(5, 1.0, 0.0), c_other=0.0)
         assert res.points[0].error != ""
         assert math.isnan(res.points[0].abs_psi11)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only numeric failures become row errors
+        def broken(*args):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(nocore, "solve_modes", broken)
+        with pytest.raises(TypeError):
+            sweep("re_c", -1.9, -1.9, 1, matrix=P11, omega=1.0, R=1.0,
+                  source=SourceModes.single(5, 1.0, 0.0), c_other=2.08e-9)
 
     def test_log_axis_validation(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,17 @@ class TestEigensystem:
         resid = (t - es.eigenvalues[0] * np.eye(2)) @ es.eigenvectors[1] - es.eigenvectors[0]
         assert np.max(np.abs(resid)) == 0.0
 
+    def test_non_finite_matrix_not_jordan(self):
+        # mode 80 at omega = 1e-3 overflows; nan compares false everywhere,
+        # which used to land in the Jordan branch
+        m = np_matrix(P11, 1e-3, 1.0, 80)
+        assert not np.all(np.isfinite(m.entries))
+        es = np_eigensystem(m)
+        assert es.case_tag is EigCase.NON_FINITE
+        assert all(np.isnan(xi) for xi in es.eigenvalues)
+        es = np_eigensystem(synthetic([[0.3, 1.0], [np.inf, 0.3]]))
+        assert es.case_tag is EigCase.NON_FINITE
+
     def test_diagonal_distinct(self):
         es = np_eigensystem(synthetic([[0.3, 0.2], [0, 0.5]]))
         assert es.case_tag is EigCase.DIAGONAL_DISTINCT
