@@ -25,6 +25,8 @@ from .nocore import (
 )
 from .potentials import layered_system, polar_to_cartesian, region_energy, slp_trace
 
+MIN_SCAN_STEPS = 8  # fewest real-p samples tune_p scans
+
 
 class TuningFailedError(RuntimeError):
     """The determinant scan shows no dip (regular/elliptic configuration)."""
@@ -171,7 +173,7 @@ def tune_p(
         lo = -4.0 / n0
     if hi is None:
         hi = 4.0 / n0
-    if steps < 8:
+    if steps < MIN_SCAN_STEPS:
         raise ValueError("steps too small for a meaningful scan")
     ps = np.linspace(lo, hi, steps)
     vals = np.array([abs(det_m(cfg, p)) for p in ps])

@@ -18,7 +18,7 @@ import yaml
 
 from . import __version__
 from .artifacts import ManifestWriter, write_csv, write_heatmap_svg, write_line_svg
-from .calr import calr_energy, recipe_config, tune_p
+from .calr import MIN_SCAN_STEPS, calr_energy, recipe_config, tune_p
 from .fields import eval_total_field, polar_grid
 from .media import AnnulusGeometry, LameParams
 from .nocore import SourceModes, SourceTerm, solve_nocore, sweep
@@ -63,15 +63,24 @@ def _material(cfg: dict, path: str) -> LameParams:
     return LameParams(lam, mu)
 
 
+def _omega(cfg: dict) -> float:
+    omega = _get(cfg, "omega", float)
+    if not omega > 0.0:
+        raise ConfigError(f"key 'omega' must be > 0, got {omega!r}")
+    return omega
+
+
 def _modes(cfg: dict) -> list[int]:
     node = _get(cfg, "modes")
     if isinstance(node, dict):
-        start = _get(node, "start", int)
-        stop = _get(node, "stop", int)
-        return list(range(start, stop + 1))
-    if isinstance(node, list):
-        return [int(v) for v in node]
-    raise ConfigError("key 'modes' must be a list or {start, stop}")
+        modes = list(range(_get(node, "start", int), _get(node, "stop", int) + 1))
+    elif isinstance(node, list):
+        modes = [int(v) for v in node]
+    else:
+        raise ConfigError("key 'modes' must be a list or {start, stop}")
+    if not modes:
+        raise ConfigError("key 'modes' selects no modes")
+    return modes
 
 
 def _source(cfg: dict, path: str = "source") -> SourceModes:
@@ -99,7 +108,7 @@ def _source(cfg: dict, path: str = "source") -> SourceModes:
 
 def _run_spectrum(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     p = _material(cfg, "materials.matrix")
-    omega = _get(cfg, "omega", float)
+    omega = _omega(cfg)
     radius = _get(cfg, "geometry.radius", float)
     rows = []
     for n in _modes(cfg):
@@ -122,7 +131,7 @@ def _run_spectrum(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
 
 def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     p = _material(cfg, "materials.matrix")
-    omega = _get(cfg, "omega", float)
+    omega = _omega(cfg)
     radius = _get(cfg, "geometry.radius", float)
     src = _source(cfg)
     axis = _get(cfg, "sweep.axis", str, choices={"re_c", "im_c"})
@@ -183,7 +192,7 @@ class _SlpField:
 
 def _field_object(cfg: dict, args):
     kind = _get(cfg, "field.kind", str, choices={"slp", "nocore", "calr"})
-    omega = _get(cfg, "omega", float)
+    omega = _omega(cfg)
     if kind == "slp":
         p = _material(cfg, "materials.matrix")
         radius = _get(cfg, "geometry.radius", float)
@@ -216,7 +225,6 @@ def _field_object(cfg: dict, args):
 
 
 def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
-    obj, interfaces = _field_object(cfg, args)
     rnode = _get(cfg, "field.radii")
     rsteps = _get(rnode, "steps", int)
     if rsteps < 1:
@@ -225,7 +233,10 @@ def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         _get(rnode, "start", float), _get(rnode, "stop", float), rsteps
     )
     ntheta = _get(cfg, "field.thetas", int, default=64)
+    if ntheta < 1:
+        raise ConfigError("key 'field.thetas' must be >= 1")
     thetas = [2.0 * math.pi * k / ntheta for k in range(ntheta)]
+    obj, interfaces = _field_object(cfg, args)
     grid = eval_total_field(obj, polar_grid(radii, thetas), interfaces)
     rows = []
     for pt, val, reg in zip(grid.points, grid.values, grid.regions):
@@ -276,16 +287,19 @@ def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     geo = AnnulusGeometry(
         _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
     )
-    omega = _get(cfg, "omega", float)
+    omega = _omega(cfg)
     cs_cfg, p = _calr_config(cfg, geo, omega)
     scan_rows = None
     if p is None:
         scan = _get(cfg, "calr.scan", default={})
+        steps = _get(scan, "steps", int, default=241)
+        if steps < MIN_SCAN_STEPS:
+            raise ConfigError(f"key 'calr.scan.steps' must be >= {MIN_SCAN_STEPS}")
         tuned = tune_p(
             cs_cfg,
             lo=_get(scan, "lo", float, default=None),
             hi=_get(scan, "hi", float, default=None),
-            steps=_get(scan, "steps", int, default=241),
+            steps=steps,
             min_dip_ratio=_get(scan, "min_dip_ratio", float, default=0.1),
         )
         scan_rows = list(zip(tuned.scan_p.tolist(), tuned.scan_abs_det.tolist()))

@@ -11,13 +11,18 @@ path stays below ~1e-12 relative error on the validated envelope
   log series and upward recurrence while Im z <= 4 (the J + iY subtraction
   loses a factor exp(2 Im z), harmless in that strip), else H_0 through the
   continued fraction for H_0'/H_0 closed with the Wronskian.
-* 8 < |z| < 17: Miller backward recurrence for the J array.  The
-  normalising value is the Jacobi-Anger sum J_0 + 2 sum J_2k = 1 when
-  Im z <= 5 and the (cancellation-free there) J_0 series otherwise.  H_0
-  again from the continued fraction plus Wronskian closure.
+* 8 < |z| < 17: Miller backward recurrence for J.  The normalising value
+  is the Jacobi-Anger sum J_0 + 2 sum J_2k = 1 when Im z <= 5 and the
+  (cancellation-free there) J_0 series otherwise.  H_0 again from the
+  continued fraction plus Wronskian closure.
 * |z| >= 17:  H_0, H_1 from the outgoing asymptotic series (truncation error
-  below exp(-2|z|)); the Miller J array is normalised against them through
+  below exp(-2|z|)); the Miller J rungs are normalised against them through
   the cross Wronskian J_1 H_0 - J_0 H_1 = 2i/(pi z), which never cancels.
+
+A pair at order n reads J and H at rungs n-1 and n (0 and 1 when n = 0).
+Every branch evaluates J only at those rungs and the seed rungs 0 and 1, and
+the recurrences (H upward from H_0, H_1; Miller downward) carry two running
+values, so a cache miss costs O(n) recurrence steps but at most four series.
 
 Derivatives always come from the three-term ladder f_n' = f_{n-1} - n f_n/z,
 never from finite differences.  Orders so large that the true value
@@ -161,12 +166,12 @@ def _cf2_direct(z: complex) -> complex:
     return -0.5 / z + 1j + (1j / z) * f
 
 
-def _miller_down(nmax: int, z: complex) -> tuple[list[complex], complex]:
-    """Unnormalised J ladder f[0..nmax] plus the Jacobi-Anger sum of f."""
+def _miller_down(nmax: int, z: complex) -> tuple[dict[int, complex], complex]:
+    """Unnormalised J rungs f[0, 1, nmax-1, nmax] plus the Jacobi-Anger sum."""
     absz = abs(z)
     top = max(nmax, int(absz))
     start = top + 24 + int(1.6 * math.sqrt(top + 1.0))
-    f = [0j] * (nmax + 1)
+    f = dict.fromkeys((0, 1, nmax - 1, nmax), 0j)
     fp1 = 0.0 + 0j  # f_{m+1}
     fc = 1e-290 + 0j  # f_m
     ja = 0.0 + 0j
@@ -176,7 +181,7 @@ def _miller_down(nmax: int, z: complex) -> tuple[list[complex], complex]:
         fp1 = fc
         fc = fm1
         m -= 1
-        if m <= nmax:
+        if m in f:
             f[m] = fc
         if m >= 2 and m % 2 == 0:
             ja += 2.0 * fc
@@ -185,68 +190,60 @@ def _miller_down(nmax: int, z: complex) -> tuple[list[complex], complex]:
             fc *= scale
             fp1 *= scale
             ja *= scale
-            for i in range(m, min(nmax, start) + 1):
-                f[i] *= scale
+            for i in f:
+                if i >= m:
+                    f[i] *= scale
     ja += f[0]
     return f, ja
 
 
-def _upward(nmax: int, z: complex, f0: complex, f1: complex) -> list[complex]:
-    """Upward three-term recurrence (stable for the dominant solution)."""
-    f = [0j] * (nmax + 1)
-    f[0] = f0
-    if nmax >= 1:
-        f[1] = f1
+def _upward_top(nmax: int, z: complex,
+                f0: complex, f1: complex) -> tuple[complex, complex]:
+    """f_{nmax-1}, f_nmax by upward recurrence (stable for the dominant solution)."""
     for m in range(1, nmax):
-        f[m + 1] = (2.0 * m / z) * f[m] - f[m - 1]
-    return f
+        f0, f1 = f1, (2.0 * m / z) * f1 - f0
+    return f0, f1
 
 
-def _jh_arrays(nmax: int, z: complex) -> tuple[list[complex], list[complex]]:
-    """J and H arrays for orders 0..nmax at z with Im z >= 0, z != 0."""
+def _jh_top(nmax: int, z: complex) -> tuple[complex, complex, complex, complex]:
+    """J_{nmax-1}, J_nmax, H_{nmax-1}, H_nmax for nmax >= 1, Im z >= 0, z != 0."""
     absz = abs(z)
     if absz <= _SERIES_RADIUS:
-        j = [_j_series(m, z) for m in range(nmax + 1)]
+        j = {m: _j_series(m, z) for m in (0, 1, nmax - 1, nmax)}
         if z.imag <= _JIY_IM_LIMIT:
             y0, y1 = _y01_series(z, j[0], j[1])
-            y = _upward(nmax, z, y0, y1)
-            h = [j[m] + 1j * y[m] for m in range(nmax + 1)]
-        else:
-            r2 = _cf2_direct(z)
-            h0 = (2j / (math.pi * z)) / (j[0] * r2 + j[1])  # J0' = -J1
-            h = _upward(nmax, z, h0, -r2 * h0)
-        return j, h
+            ya, yb = _upward_top(nmax, z, y0, y1)
+            return j[nmax - 1], j[nmax], j[nmax - 1] + 1j * ya, j[nmax] + 1j * yb
+        r2 = _cf2_direct(z)
+        h0 = (2j / (math.pi * z)) / (j[0] * r2 + j[1])  # J0' = -J1
+        return j[nmax - 1], j[nmax], *_upward_top(nmax, z, h0, -r2 * h0)
 
     f, ja = _miller_down(nmax, z)
-    f1 = f[1]  # callers guarantee nmax >= 1
     if absz >= _ASYMP_RADIUS:
         h0, h1 = _h01_asymptotic(z)
-        scale = (2j / (math.pi * z)) / (f1 * h0 - f[0] * h1)
+        scale = (2j / (math.pi * z)) / (f[1] * h0 - f[0] * h1)
     else:
         if z.imag <= _JA_IM_LIMIT:
             scale = 1.0 / ja
         else:
             scale = _j_series(0, z) / f[0]
         j0 = scale * f[0]
-        j1 = scale * f1
+        j1 = scale * f[1]
         r2 = _cf2_direct(z)
         h0 = (2j / (math.pi * z)) / (j0 * r2 + j1)
         h1 = -r2 * h0
-    j = [scale * fm for fm in f]
-    h = _upward(nmax, z, h0, h1)
-    return j, h
+    return scale * f[nmax - 1], scale * f[nmax], *_upward_top(nmax, z, h0, h1)
 
 
 @lru_cache(maxsize=1 << 14)
 def _pair_upper(n: int, z: complex) -> tuple[complex, complex, complex, complex]:
     """(J_n, J_n', H_n, H_n') for n >= 0, Im z >= 0, z != 0."""
-    nmax = max(n, 1)
-    j, h = _jh_arrays(nmax, z)
+    j_lo, j_hi, h_lo, h_hi = _jh_top(max(n, 1), z)
     if n == 0:
-        return j[0], -j[1], h[0], -h[1]
-    jp = j[n - 1] - (n / z) * j[n]
-    hp = h[n - 1] - (n / z) * h[n]
-    return j[n], jp, h[n], hp
+        return j_lo, -j_hi, h_lo, -h_hi
+    jp = j_lo - (n / z) * j_hi
+    hp = h_lo - (n / z) * h_hi
+    return j_hi, jp, h_hi, hp
 
 
 def cyl_pair(n: int, z) -> CylPair:

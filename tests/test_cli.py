@@ -38,6 +38,32 @@ sweep:
   c_other: 2.08e-9
 """
 
+FIELD_YAML = """
+omega: 20.0
+geometry: {radius: 1.0}
+materials:
+  matrix: {lam: 1.0, mu: 1.0}
+field:
+  kind: slp
+  n: 5
+  density: nu
+  radii: {start: 0.3, stop: 2.5, steps: 5}
+  thetas: 8
+"""
+
+CALR_YAML = """
+omega: 5.0
+geometry: {r_inner: 0.8, r_outer: 1.0}
+materials:
+  matrix: {lam: 1.0, mu: 1.0}
+  core: {lam: 1.0, mu: 1.0}
+source:
+  terms: [{n: 25, kappa1: 1.0}]
+calr:
+  n0: 25
+  scan: {steps: 81}
+"""
+
 
 class TestSpectrumCommand:
     def test_quasistatic_tail(self, tmp_path):
@@ -71,6 +97,13 @@ class TestSpectrumCommand:
         assert "omega" in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == 2
+
+    @pytest.mark.parametrize("modes", ["{start: 10, stop: 2}", "[]"])
+    def test_empty_mode_selection_exits_2(self, tmp_path, capsys, modes):
+        cfg = write(tmp_path, "e.yaml",
+                    SPECTRUM_YAML.replace("{start: 0, stop: 60}", modes))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        assert "modes" in capsys.readouterr().err
 
     def test_yaml_syntax_error_reports_location(self, tmp_path, capsys):
         cfg = write(tmp_path, "syntax.yaml", "omega: [1.0\nmodes: [3]\n")
@@ -127,18 +160,7 @@ class TestSweepCommand:
 
 class TestFieldCommand:
     def test_slp_profile_csv(self, tmp_path):
-        cfg = write(tmp_path, "f.yaml", """
-omega: 20.0
-geometry: {radius: 1.0}
-materials:
-  matrix: {lam: 1.0, mu: 1.0}
-field:
-  kind: slp
-  n: 5
-  density: nu
-  radii: {start: 0.3, stop: 2.5, steps: 5}
-  thetas: 8
-""")
+        cfg = write(tmp_path, "f.yaml", FIELD_YAML)
         out = tmp_path / "f"
         assert main(["field", "--config", cfg, "--out", str(out), "--svg"]) == 0
         rows = (out / "field.csv").read_text().strip().splitlines()
@@ -166,21 +188,17 @@ field:
         rows = (out / "field.csv").read_text().strip().splitlines()[1:]
         assert all(r.endswith("interface") for r in rows)
 
+    @pytest.mark.parametrize("thetas", [0, -3])
+    def test_empty_angle_grid_exits_2(self, tmp_path, capsys, thetas):
+        cfg = write(tmp_path, "ft.yaml",
+                    FIELD_YAML.replace("thetas: 8", f"thetas: {thetas}"))
+        assert main(["field", "--config", cfg, "--out", str(tmp_path / "ft")]) == 2
+        assert "field.thetas" in capsys.readouterr().err
+
 
 class TestCalrCommand:
     def test_report_and_scan(self, tmp_path):
-        cfg = write(tmp_path, "c.yaml", """
-omega: 5.0
-geometry: {r_inner: 0.8, r_outer: 1.0}
-materials:
-  matrix: {lam: 1.0, mu: 1.0}
-  core: {lam: 1.0, mu: 1.0}
-source:
-  terms: [{n: 25, kappa1: 1.0}]
-calr:
-  n0: 25
-  scan: {steps: 81}
-""")
+        cfg = write(tmp_path, "c.yaml", CALR_YAML)
         out = tmp_path / "c"
         assert main(["calr", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads((out / "calr_report.json").read_text())
@@ -225,6 +243,24 @@ calr:
         assert main(["calr", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads((out / "calr_report.json").read_text())
         assert rep["tuned_p"] == [0.016, 0.001]
+
+    def test_short_scan_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cs.yaml", CALR_YAML.replace("steps: 81", "steps: 4"))
+        assert main(["calr", "--config", cfg, "--out", str(tmp_path / "cs")]) == 2
+        assert "calr.scan.steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "field", "calr"])
+def test_nonpositive_omega_exits_2(tmp_path, capsys, command):
+    text = {"spectrum": SPECTRUM_YAML, "sweep": SWEEP_YAML,
+            "field": FIELD_YAML, "calr": CALR_YAML}[command]
+    bad = "\n".join("omega: -1.0" if line.startswith("omega:") else line
+                    for line in text.splitlines())
+    cfg = write(tmp_path, "w.yaml", bad)
+    out = tmp_path / "w"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "'omega'" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == 2
 
 
 def test_selfcheck_passes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Cylinder-function suite: frozen oracle values, identities, asymptotics."""
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastodisk import specfun
 from elastodisk.specfun import CylPair, bessel_j, cyl_pair, hankel1
 
 # 60-term ascending series at 50 digits, frozen (see mp_series_j below).
@@ -25,6 +27,22 @@ def mp_series_j(n, z, terms=60):
         term *= q / (k * (n + k))
         total += term
     return complex(pref * total)
+
+
+def assert_matches_mpmath(n, z):
+    # dps must cover the exp(2|Im z|) cancellation inside mpmath's own
+    # J + iY evaluation of H at strongly imaginary arguments.
+    mp.mp.dps = 150
+    p = cyl_pair(n, z)
+    zr = mp.mpc(z)
+    for mine, ref in (
+        (p.j, mp.besselj(n, zr)),
+        (p.h, mp.hankel1(n, zr)),
+        (p.jp, (mp.besselj(n - 1, zr) - mp.besselj(n + 1, zr)) / 2),
+        (p.hp, (mp.hankel1(n - 1, zr) - mp.hankel1(n + 1, zr)) / 2),
+    ):
+        ref = complex(ref)
+        assert abs(mine - ref) <= 5e-12 * max(abs(ref), sys.float_info.min)
 
 
 def wronskian_resid(p: CylPair) -> float:
@@ -95,21 +113,31 @@ class TestCylPair:
             assert -a == pytest.approx(b, rel=1e-15)
 
     def test_against_mpmath(self):
-        # dps must cover the exp(2|Im z|) cancellation inside mpmath's own
-        # J + iY evaluation of H at strongly imaginary arguments.
-        mp.mp.dps = 150
         for n, z in [(0, 0.05 + 0.01j), (7, 4 - 1j), (25, 12 + 9j), (60, 70 + 20j),
                      (3, 90j), (40, 15.0 + 0j)]:
-            p = cyl_pair(n, z)
-            zr = mp.mpc(z)
-            for mine, ref in (
-                (p.j, mp.besselj(n, zr)),
-                (p.h, mp.hankel1(n, zr)),
-                (p.jp, (mp.besselj(n - 1, zr) - mp.besselj(n + 1, zr)) / 2),
-                (p.hp, (mp.hankel1(n - 1, zr) - mp.hankel1(n + 1, zr)) / 2),
-            ):
-                ref = complex(ref)
-                assert abs(mine - ref) <= 5e-12 * max(abs(ref), 1e-290)
+            assert_matches_mpmath(n, z)
+
+    # Orders up to 200 on every evaluation path; n = 1 makes the top rungs
+    # n-1, n coincide with the seed rungs 0, 1.
+    @pytest.mark.parametrize("n, z", [
+        pytest.param(n, z, id=f"{path}-n{n}")
+        for path, points in (
+            ("series_jiy", [(1, 3 + 0.5j), (61, 6 + 1j), (120, 7.5 + 2j), (200, 5 + 0.5j)]),
+            ("series_cf", [(1, 2 + 6j), (61, 3 + 7j), (150, 1 + 7.5j)]),
+            ("miller_ja", [(1, 10 + 2j), (61, 12 + 1j), (120, 15 + 4j), (200, 9 + 0.5j)]),
+            ("miller_j0", [(1, 9 + 6j), (61, 10 + 8j), (150, 8 + 13j)]),
+            ("asymptotic", [(1, 30 + 2j), (61, 40 + 5j), (120, 60 + 3j), (200, 90 + 1j)]),
+        )
+        for n, z in points
+    ])
+    def test_against_mpmath_high_order(self, n, z):
+        assert_matches_mpmath(n, z)
+
+    def test_pair_cache_is_inspectable(self):
+        # Benchmark tracing reads the hit ratio of this cache.
+        assert callable(specfun._pair_upper.cache_info)
+        assert callable(specfun._pair_upper.cache_clear)
+        assert specfun._pair_upper.cache_parameters()["maxsize"] == 1 << 14
 
 
 PHYSICAL_ARGS = (0.0, 0.7, 1.2, math.pi / 2)
