@@ -18,6 +18,7 @@ from .calr import (  # noqa: F401
     recipe_config,
     tune_p,
 )
+from .fields import LayeredField  # noqa: F401
 from .media import (  # noqa: F401
     AnnulusGeometry,
     Convexity,
@@ -35,7 +36,6 @@ from .nocore import (  # noqa: F401
     SourceTerm,
     dissipation_energy,
     solve_modes,
-    solve_nocore,
     sweep,
 )
 from .np_spectrum import (  # noqa: F401
@@ -47,10 +47,8 @@ from .np_spectrum import (  # noqa: F401
     quasistatic_reference,
 )
 from .potentials import (  # noqa: F401
-    WaveBasisField,
     WaveKind,
     mode_matrix_boundary,
-    qp_traction_coeffs,
     scalar_slp_mode,
     traction_matrix,
     two_radius_coupling,

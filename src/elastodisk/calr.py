@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .fields import LayeredField, polar_grid
 from .media import AnnulusGeometry, LameParams
 from .nocore import (
     ModeSolution,
@@ -23,9 +24,10 @@ from .nocore import (
     SourceTerm,
     solve_mode,
 )
-from .potentials import layered_system, polar_to_cartesian, region_energy, slp_trace
+from .potentials import layered_system, region_energy
 
 MIN_SCAN_STEPS = 8  # fewest real-p samples tune_p scans
+BOUND_SAMPLES = 128  # angles of the exterior-bound circle
 
 
 class TuningFailedError(RuntimeError):
@@ -53,6 +55,12 @@ class CoreShellConfig:
     def rho(self) -> float:
         """Radius ratio r_inner/r_outer (the loss scale is rho**n0)."""
         return self.geometry.r_inner / self.geometry.r_outer
+
+    @property
+    def layers(self) -> tuple[tuple[LameParams, ...], tuple[float, float]]:
+        """(materials, radii) in the order of `layered_system`."""
+        g = self.geometry
+        return (self.core, self.shell, self.matrix), (g.r_inner, g.r_outer)
 
     def with_shell(self, shell: LameParams) -> "CoreShellConfig":
         return replace(self, shell=shell)
@@ -107,10 +115,7 @@ def assemble_calr_matrix(cfg: CoreShellConfig, n: int) -> np.ndarray:
     Row blocks: displacement then traction on the core circle (zero data),
     displacement then traction on the shell circle (incident data).
     """
-    g = cfg.geometry
-    return layered_system(
-        (cfg.core, cfg.shell, cfg.matrix), (g.r_inner, g.r_outer), cfg.omega, n
-    )
+    return layered_system(*cfg.layers, cfg.omega, n)
 
 
 def calr_rhs(cfg: CoreShellConfig, term: SourceTerm) -> np.ndarray:
@@ -155,7 +160,6 @@ def tune_p(
     lo: float | None = None,
     hi: float | None = None,
     steps: int = 241,
-    refine: bool = True,
     complex_refine: bool = False,
     min_dip_ratio: float = 0.1,
 ) -> TuneResult:
@@ -185,27 +189,26 @@ def tune_p(
         )
     p_best, v_best = float(ps[imin]), float(vals[imin])
 
-    if refine:
-        a = ps[max(imin - 1, 0)]
-        b = ps[min(imin + 1, steps - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = abs(det_m(cfg, x1)), abs(det_m(cfg, x2))
-        for _ in range(200):
-            if b - a < 1e-15 * max(1.0, abs(a)):
-                break
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = abs(det_m(cfg, x1))
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = abs(det_m(cfg, x2))
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx < v_best:
-                p_best, v_best = float(x), float(fx)
+    a = ps[max(imin - 1, 0)]
+    b = ps[min(imin + 1, steps - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = abs(det_m(cfg, x1)), abs(det_m(cfg, x2))
+    for _ in range(200):
+        if b - a < 1e-15 * max(1.0, abs(a)):
+            break
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = abs(det_m(cfg, x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = abs(det_m(cfg, x2))
+    for x, fx in ((x1, f1), (x2, f2)):
+        if fx < v_best:
+            p_best, v_best = float(x), float(fx)
 
     if complex_refine:
         from scipy.optimize import minimize
@@ -223,48 +226,6 @@ def tune_p(
     return TuneResult(
         p=p_best, abs_det=v_best, scan_p=ps, scan_abs_det=vals, dip_ratio=dip_ratio
     )
-
-
-@dataclass(frozen=True)
-class CoreShellField:
-    """Piecewise displacement field of a solved core-shell configuration."""
-
-    cfg: CoreShellConfig
-    solutions: tuple[ModeSolution, ...]
-    source: SourceModes
-
-    def region(self, x) -> str:
-        r = math.hypot(float(x[0]), float(x[1]))
-        g = self.cfg.geometry
-        if r < g.r_inner:
-            return "core"
-        if r < g.r_outer:
-            return "shell"
-        return "exterior"
-
-    def displacement(self, x) -> np.ndarray:
-        r = math.hypot(float(x[0]), float(x[1]))
-        g = self.cfg.geometry
-        om = self.cfg.omega
-        u = np.zeros(2, dtype=complex)
-        reg = self.region(x)
-        for sol in self.solutions:
-            n = sol.n
-            if reg == "core":
-                m = slp_trace(self.cfg.core, om, g.r_inner, n, r, exterior=False)
-                u += polar_to_cartesian(m @ sol.phi[0], n, x)
-            elif reg == "shell":
-                m2 = slp_trace(self.cfg.shell, om, g.r_inner, n, r, exterior=True)
-                m3 = slp_trace(self.cfg.shell, om, g.r_outer, n, r, exterior=False)
-                u += polar_to_cartesian(m2 @ sol.phi[1] + m3 @ sol.phi[2], n, x)
-            else:
-                m4 = slp_trace(self.cfg.matrix, om, g.r_outer, n, r, exterior=True)
-                u += polar_to_cartesian(m4 @ sol.phi[3], n, x)
-        if reg == "exterior":
-            u += NewtonianPotential(
-                self.source, self.cfg.matrix, om, g.r_outer
-            ).displacement(x)
-        return u
 
 
 def shell_dissipation(cfg: CoreShellConfig, solutions) -> float:
@@ -299,29 +260,28 @@ def calr_energy(
     src: SourceModes,
     energy_threshold: float = 1e4,
     bound_factor: float = 10.0,
-    samples: int = 128,
 ) -> CalrReport:
     """Solve all source modes and classify the outcome.
 
     Sources must be shear-type (kappa2 = 0).  The exterior field is sampled
-    on the circle |x| = r_outer^2/r_inner against the incident potential
-    alone; CALR requires blown-up energy together with a bounded exterior.
+    at BOUND_SAMPLES angles on the circle |x| = r_outer^2/r_inner against
+    the incident potential alone (the same field with no densities); CALR
+    requires blown-up energy together with a bounded exterior.
     """
     for term in src.terms:
         if term.kappa2 != 0:
             raise ValueError("core-shell path accepts shear-type sources only")
     sols = tuple(solve_calr_mode(cfg, term) for term in src.terms)
     energy = shell_dissipation(cfg, sols)
-    field = CoreShellField(cfg, sols, src)
+    field = LayeredField(*cfg.layers, cfg.omega, {s.n: s.phi for s in sols}, src)
     g = cfg.geometry
-    r_obs = g.r_outer**2 / g.r_inner
-    incident = NewtonianPotential(src, cfg.matrix, cfg.omega, g.r_outer)
-    u_max = 0.0
-    f_max = 0.0
-    for th in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
-        x = (r_obs * math.cos(th), r_obs * math.sin(th))
-        u_max = max(u_max, float(np.linalg.norm(field.displacement(x))))
-        f_max = max(f_max, float(np.linalg.norm(incident.displacement(x))))
+    ring = polar_grid(
+        [g.r_outer**2 / g.r_inner],
+        np.linspace(0.0, 2.0 * math.pi, BOUND_SAMPLES, endpoint=False),
+    )
+    u_max = float(np.max(np.linalg.norm(field.evaluate(ring), axis=1)))
+    incident = replace(field, densities={})
+    f_max = float(np.max(np.linalg.norm(incident.evaluate(ring), axis=1)))
     detval = complex(np.linalg.det(assemble_calr_matrix(cfg, cfg.n0)))
     resonant = energy >= energy_threshold
     bounded = u_max <= bound_factor * f_max

@@ -18,12 +18,17 @@ import yaml
 
 from . import __version__
 from .artifacts import ManifestWriter, write_csv, write_heatmap_svg, write_line_svg
-from .calr import MIN_SCAN_STEPS, calr_energy, recipe_config, tune_p
-from .fields import eval_total_field, polar_grid
+from .calr import (
+    MIN_SCAN_STEPS,
+    calr_energy,
+    recipe_config,
+    solve_calr_mode,
+    tune_p,
+)
+from .fields import LayeredField, eval_total_field, polar_grid
 from .media import AnnulusGeometry, LameParams
-from .nocore import SourceModes, SourceTerm, solve_nocore, sweep
+from .nocore import SourceModes, SourceTerm, solve_modes, sweep
 from .np_spectrum import np_eigensystem, np_matrix
-from .potentials import vector_slp_eval
 
 
 class ConfigError(ValueError):
@@ -41,12 +46,14 @@ def _get(cfg: dict, path: str, cast=None, default=..., choices=None):
         node = node[key]
     if choices is not None and node not in choices:
         raise ConfigError(f"key '{path}' must be one of {sorted(choices)}, got {node!r}")
-    if cast is not None:
-        try:
-            return cast(node)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key '{path}': {exc}") from exc
-    return node
+    return node if cast is None else _cast(node, path, cast)
+
+
+def _cast(value, path: str, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key '{path}': {exc}") from exc
 
 
 def _as_complex(v) -> complex:
@@ -73,7 +80,8 @@ def _omega(cfg: dict) -> float:
 def _modes(cfg: dict) -> list[int]:
     node = _get(cfg, "modes")
     if isinstance(node, dict):
-        modes = list(range(_get(node, "start", int), _get(node, "stop", int) + 1))
+        start, stop = _get(cfg, "modes.start", int), _get(cfg, "modes.stop", int)
+        modes = list(range(start, stop + 1))
     elif isinstance(node, list):
         modes = [int(v) for v in node]
     else:
@@ -89,17 +97,18 @@ def _source(cfg: dict, path: str = "source") -> SourceModes:
         raise ConfigError(f"key '{path}.terms' must be a nonempty list")
     terms = []
     for i, t in enumerate(terms_node):
+        key = f"{path}.terms[{i}]"
         if not isinstance(t, dict):
-            raise ConfigError(f"key '{path}.terms[{i}]' must be a mapping")
+            raise ConfigError(f"key '{key}' must be a mapping")
+        if "n" not in t:
+            raise ConfigError(f"missing required key '{key}.n'")
+        n = _cast(t["n"], f"{key}.n", int)
+        k1 = _cast(t.get("kappa1", 0.0), f"{key}.kappa1", _as_complex)
+        k2 = _cast(t.get("kappa2", 0.0), f"{key}.kappa2", _as_complex)
         try:
-            n = _get(t, "n", int)
-            k1 = _as_complex(t.get("kappa1", 0.0))
-            k2 = _as_complex(t.get("kappa2", 0.0))
             terms.append(SourceTerm(n, k1, k2))
-        except ConfigError:
-            raise
         except ValueError as exc:
-            raise ConfigError(f"key '{path}.terms[{i}]': {exc}") from exc
+            raise ConfigError(f"key '{key}': {exc}") from exc
     try:
         return SourceModes(tuple(terms))
     except ValueError as exc:
@@ -177,37 +186,24 @@ def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         )
 
 
-class _SlpField:
-    """Raw single-layer mode density on a circle, for profile studies."""
-
-    def __init__(self, p, omega, R, n, density):
-        self.p, self.omega, self.R, self.n, self.density = p, omega, R, n, density
-
-    def displacement(self, x):
-        return vector_slp_eval(self.p, self.omega, self.R, self.n, self.density, x)
-
-    def region(self, x):
-        return "shell" if math.hypot(x[0], x[1]) < self.R else "exterior"
-
-
-def _field_object(cfg: dict, args):
+def _field_object(cfg: dict) -> LayeredField:
     kind = _get(cfg, "field.kind", str, choices={"slp", "nocore", "calr"})
     omega = _omega(cfg)
+    if kind in ("slp", "nocore"):
+        p = _material(cfg, "materials.matrix")
+        radius = _get(cfg, "geometry.radius", float)
     if kind == "slp":
-        p = _material(cfg, "materials.matrix")
-        radius = _get(cfg, "geometry.radius", float)
-        obj = _SlpField(
-            p, omega, radius,
-            _get(cfg, "field.n", int),
-            _get(cfg, "field.density", str, default="nu", choices={"nu", "t"}),
-        )
-        return obj, (radius,)
+        # the unit mode density on both sides of one circle in one material
+        n = _get(cfg, "field.n", int)
+        density = _get(cfg, "field.density", str, default="nu", choices={"nu", "t"})
+        unit = [1.0, 0.0] if density == "nu" else [0.0, 1.0]
+        phi = np.array([unit, unit], dtype=complex)
+        return LayeredField((p, p), (radius,), omega, {n: phi})
     if kind == "nocore":
-        p = _material(cfg, "materials.matrix")
-        radius = _get(cfg, "geometry.radius", float)
         shell = _material(cfg, "materials.shell")
-        field = solve_nocore(shell, p, omega, radius, _source(cfg))
-        return field, (radius,)
+        src = _source(cfg)
+        phis = {s.n: s.phi for s in solve_modes(shell, p, omega, radius, src)}
+        return LayeredField((shell, p), (radius,), omega, phis, src)
     geo = AnnulusGeometry(
         _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
     )
@@ -218,26 +214,23 @@ def _field_object(cfg: dict, args):
             "command first to tune it)"
         )
     src = _source(cfg)
-    from .calr import CoreShellField, solve_calr_mode
-
-    sols = tuple(solve_calr_mode(cs_cfg, t) for t in src.terms)
-    return CoreShellField(cs_cfg, sols, src), (geo.r_inner, geo.r_outer)
+    phis = {t.n: solve_calr_mode(cs_cfg, t).phi for t in src.terms}
+    return LayeredField(*cs_cfg.layers, omega, phis, src)
 
 
 def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
-    rnode = _get(cfg, "field.radii")
-    rsteps = _get(rnode, "steps", int)
+    rsteps = _get(cfg, "field.radii.steps", int)
     if rsteps < 1:
         raise ConfigError("key 'field.radii.steps' must be >= 1")
     radii = np.linspace(
-        _get(rnode, "start", float), _get(rnode, "stop", float), rsteps
+        _get(cfg, "field.radii.start", float), _get(cfg, "field.radii.stop", float),
+        rsteps,
     )
     ntheta = _get(cfg, "field.thetas", int, default=64)
     if ntheta < 1:
         raise ConfigError("key 'field.thetas' must be >= 1")
     thetas = [2.0 * math.pi * k / ntheta for k in range(ntheta)]
-    obj, interfaces = _field_object(cfg, args)
-    grid = eval_total_field(obj, polar_grid(radii, thetas), interfaces)
+    grid = eval_total_field(_field_object(cfg), polar_grid(radii, thetas))
     rows = []
     for pt, val, reg in zip(grid.points, grid.values, grid.regions):
         amp = float(np.hypot(abs(val[0]), abs(val[1])))
@@ -291,16 +284,15 @@ def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     cs_cfg, p = _calr_config(cfg, geo, omega)
     scan_rows = None
     if p is None:
-        scan = _get(cfg, "calr.scan", default={})
-        steps = _get(scan, "steps", int, default=241)
+        steps = _get(cfg, "calr.scan.steps", int, default=241)
         if steps < MIN_SCAN_STEPS:
             raise ConfigError(f"key 'calr.scan.steps' must be >= {MIN_SCAN_STEPS}")
         tuned = tune_p(
             cs_cfg,
-            lo=_get(scan, "lo", float, default=None),
-            hi=_get(scan, "hi", float, default=None),
+            lo=_get(cfg, "calr.scan.lo", float, default=None),
+            hi=_get(cfg, "calr.scan.hi", float, default=None),
             steps=steps,
-            min_dip_ratio=_get(scan, "min_dip_ratio", float, default=0.1),
+            min_dip_ratio=_get(cfg, "calr.scan.min_dip_ratio", float, default=0.1),
         )
         scan_rows = list(zip(tuned.scan_p.tolist(), tuned.scan_abs_det.tolist()))
         cs_cfg, p = _calr_config(cfg, geo, omega, tuned.p)

@@ -19,9 +19,7 @@ from .media import LameParams, wavenumbers
 from .potentials import (
     WaveKind,
     layered_system,
-    polar_to_cartesian,
     region_energy,
-    slp_trace,
     wave_coeffs,
     wave_traction_coeffs,
 )
@@ -107,27 +105,21 @@ class NewtonianPotential:
     omega: float
     radius: float
 
-    def displacement(self, x) -> np.ndarray:
-        r = math.hypot(float(x[0]), float(x[1]))
-        u = np.zeros(2, dtype=complex)
-        for term in self.source.terms:
-            cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
-            c = cs * wave_coeffs(WaveKind.Q_INTERIOR, term.n, wn.ks, r)
-            c = c + cp * wave_coeffs(WaveKind.P_INTERIOR, term.n, wn.kp, r)
-            u += polar_to_cartesian(c, term.n, x)
-        return u
+    def coeffs(self, term: SourceTerm, r: float) -> np.ndarray:
+        """(nu, t) displacement coefficient pair of one source mode at radius r."""
+        cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
+        c = cs * wave_coeffs(WaveKind.Q_INTERIOR, term.n, wn.ks, r)
+        return c + cp * wave_coeffs(WaveKind.P_INTERIOR, term.n, wn.kp, r)
 
     def boundary_coeffs(self, term: SourceTerm) -> tuple[np.ndarray, np.ndarray]:
         """(f_n, ftilde_n): trace and traction coefficient pairs on the circle."""
         cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
         R = self.radius
-        f = cs * wave_coeffs(WaveKind.Q_INTERIOR, term.n, wn.ks, R)
-        f = f + cp * wave_coeffs(WaveKind.P_INTERIOR, term.n, wn.kp, R)
         ft = cs * wave_traction_coeffs(WaveKind.Q_INTERIOR, term.n, wn.ks, R, self.params)
         ft = ft + cp * wave_traction_coeffs(
             WaveKind.P_INTERIOR, term.n, wn.kp, R, self.params
         )
-        return f, ft
+        return self.coeffs(term, R), ft
 
 
 def source_boundary_data(
@@ -300,47 +292,3 @@ def sweep(
             )
 
     return SweepResult(axis=axis, points=[run_one(v) for v in values])
-
-
-@dataclass(frozen=True)
-class NoCoreField:
-    """Piecewise displacement field of a solved no-core configuration."""
-
-    p_in: LameParams
-    p_out: LameParams
-    omega: float
-    R: float
-    solutions: tuple[ModeSolution, ...]
-    source: SourceModes
-
-    def region(self, x) -> str:
-        r = math.hypot(float(x[0]), float(x[1]))
-        return "shell" if r < self.R else "exterior"
-
-    def displacement(self, x) -> np.ndarray:
-        r = math.hypot(float(x[0]), float(x[1]))
-        interior = r < self.R
-        u = np.zeros(2, dtype=complex)
-        for sol in self.solutions:
-            if interior:
-                m = slp_trace(self.p_in, self.omega, self.R, sol.n, r, exterior=False)
-                u += polar_to_cartesian(m @ sol.psi1, sol.n, x)
-            else:
-                m = slp_trace(self.p_out, self.omega, self.R, sol.n, r, exterior=True)
-                u += polar_to_cartesian(m @ sol.psi2, sol.n, x)
-        if not interior:
-            u += NewtonianPotential(
-                self.source, self.p_out, self.omega, self.R
-            ).displacement(x)
-        return u
-
-
-def solve_nocore(
-    p_in: LameParams,
-    p_out: LameParams,
-    omega: float,
-    R: float,
-    src: SourceModes,
-) -> NoCoreField:
-    sols = solve_modes(p_in, p_out, omega, R, src)
-    return NoCoreField(p_in, p_out, omega, R, tuple(sols), src)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -93,31 +92,6 @@ def wave_traction_coeffs(
     if kind.is_shear:
         return np.array([edge, 1j * body])
     return np.array([body, 1j * edge])
-
-
-def qp_traction_coeffs(
-    p: LameParams, k_of_kind: complex, R: float, n: int, kind: WaveKind
-) -> tuple[complex, complex]:
-    """Traction coefficients of an interior basis field on its own circle."""
-    if not kind.is_interior:
-        raise ValueError("traction coefficient helper is defined for interior kinds")
-    c = wave_traction_coeffs(kind, n, k_of_kind, R, p)
-    return complex(c[0]), complex(c[1])
-
-
-@dataclass(frozen=True)
-class WaveBasisField:
-    """A single Q_n/P_n cylinder wave; solves the homogeneous Lame system."""
-
-    kind: WaveKind
-    order: int
-    wavenumber: complex
-
-    def coeffs(self, r: float) -> np.ndarray:
-        return wave_coeffs(self.kind, self.order, self.wavenumber, r)
-
-    def displacement(self, x) -> np.ndarray:
-        return polar_to_cartesian(self.coeffs(_radius(x)), self.order, x)
 
 
 def _radius(x) -> float:

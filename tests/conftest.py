@@ -3,7 +3,9 @@
 Every oracle here is independent of the code path it checks: quadrature
 kernels are built on scipy's cylinder functions, tractions come from
 central differences of the displacement, and high-precision references
-use mpmath.
+use mpmath.  `incident_displacement` is the pointwise form of the incident
+potential, one point and one mode at a time, for checks that need it on
+both sides of a circle.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+
+from elastodisk.potentials import polar_to_cartesian
 
 
 def scipy_gamma(lam: complex, mu: complex, omega: float, d: np.ndarray) -> np.ndarray:
@@ -70,6 +74,15 @@ def quad_vector_converged(lam, mu, omega, R, n, density, x, tol=1e-10):
         prev = cur
         panels *= 2
     return prev
+
+
+def incident_displacement(pot, x) -> np.ndarray:
+    """Displacement of a NewtonianPotential at the single point x."""
+    r = math.hypot(float(x[0]), float(x[1]))
+    u = np.zeros(2, dtype=complex)
+    for term in pot.source.terms:
+        u += polar_to_cartesian(pot.coeffs(term, r), term.n, x)
+    return u
 
 
 def fd_traction(displacement, lam, mu, r, theta, h=1e-6) -> np.ndarray:

@@ -263,6 +263,21 @@ def test_nonpositive_omega_exits_2(tmp_path, capsys, command):
     assert json.loads((out / "manifest.json").read_text())["status"] == 2
 
 
+@pytest.mark.parametrize("key, command, old, new", [
+    ("modes.start", "spectrum", "start: 0", "start: zero"),
+    ("field.radii.start", "field", "start: 0.3", "start: a"),
+    ("calr.scan.steps", "calr", "steps: 81", "steps: many"),
+    ("source.terms[0].n", "sweep", "n: 5", "n: five"),
+])
+def test_nested_key_errors_name_the_full_key(tmp_path, capsys, key, command, old, new):
+    text = {"spectrum": SPECTRUM_YAML, "sweep": SWEEP_YAML,
+            "field": FIELD_YAML, "calr": CALR_YAML}[command]
+    assert old in text
+    cfg = write(tmp_path, "k.yaml", text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "k")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_selfcheck_passes(tmp_path, capsys):
     assert main(["selfcheck", "--out", str(tmp_path / "sc")]) == 0
     out = capsys.readouterr().out
