@@ -32,6 +32,27 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
     return path
 
 
+def _nonfinite_to_null(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _nonfinite_to_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_nonfinite_to_null(x) for x in v]
+    return v
+
+
+def write_json(path: Path, data) -> Path:
+    """Strict JSON (NaN and +-inf written as null), sorted keys, indent 2."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(
+        _nonfinite_to_null(data), indent=2, sort_keys=True, allow_nan=False
+    )
+    path.write_text(text + "\n", encoding="ascii")
+    return path
+
+
 def config_digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
@@ -61,10 +82,7 @@ class ManifestWriter:
         self.data["status"] = status
         self.data["error"] = error
         self.data["wall_time_s"] = round(time.monotonic() - self._t0, 6)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
+        write_json(self.path, self.data)
 
 
 def _svg_header(w: int, h: int) -> list[str]:

@@ -17,7 +17,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .artifacts import ManifestWriter, write_csv, write_heatmap_svg, write_line_svg
+from .artifacts import (
+    ManifestWriter,
+    write_csv,
+    write_heatmap_svg,
+    write_json,
+    write_line_svg,
+)
 from .calr import (
     MIN_SCAN_STEPS,
     calr_energy,
@@ -222,10 +228,13 @@ def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     rsteps = _get(cfg, "field.radii.steps", int)
     if rsteps < 1:
         raise ConfigError("key 'field.radii.steps' must be >= 1")
-    radii = np.linspace(
-        _get(cfg, "field.radii.start", float), _get(cfg, "field.radii.stop", float),
-        rsteps,
-    )
+    start = _get(cfg, "field.radii.start", float)
+    stop = _get(cfg, "field.radii.stop", float)
+    radii = np.linspace(start, stop, rsteps)
+    if not np.all(radii > 0.0):  # fields are evaluated away from the origin
+        raise ConfigError(
+            f"key 'field.radii' must hold only positive radii, got {start}..{stop}"
+        )
     ntheta = _get(cfg, "field.thetas", int, default=64)
     if ntheta < 1:
         raise ConfigError("key 'field.thetas' must be >= 1")
@@ -275,8 +284,6 @@ def _calr_config(cfg: dict, geo: AnnulusGeometry, omega: float, p=None):
 
 
 def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
-    import json
-
     geo = AnnulusGeometry(
         _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
     )
@@ -321,11 +328,7 @@ def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
             for s in report.solutions
         ],
     }
-    path = out / "calr_report.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
-    manifest.add_output(path)
+    manifest.add_output(write_json(out / "calr_report.json", payload))
     if scan_rows is not None:
         manifest.add_output(
             write_csv(out / "det_scan.csv", ["p", "abs_det"], scan_rows)

@@ -91,6 +91,12 @@ def _norm_constants(term: SourceTerm, p: LameParams, omega: float, R: float):
     return out[0], out[1], wn
 
 
+def _qp_sum(cs: complex, cp: complex, wn, n: int, coeffs_fn, *args) -> np.ndarray:
+    """cs * (Q_n pair) + cp * (P_n pair) of the interior wave fields."""
+    c = cs * coeffs_fn(WaveKind.Q_INTERIOR, n, wn.ks, *args)
+    return c + cp * coeffs_fn(WaveKind.P_INTERIOR, n, wn.kp, *args)
+
+
 @dataclass(frozen=True)
 class NewtonianPotential:
     """Incident field defined by its interior wave-basis expansion.
@@ -108,18 +114,16 @@ class NewtonianPotential:
     def coeffs(self, term: SourceTerm, r: float) -> np.ndarray:
         """(nu, t) displacement coefficient pair of one source mode at radius r."""
         cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
-        c = cs * wave_coeffs(WaveKind.Q_INTERIOR, term.n, wn.ks, r)
-        return c + cp * wave_coeffs(WaveKind.P_INTERIOR, term.n, wn.kp, r)
+        return _qp_sum(cs, cp, wn, term.n, wave_coeffs, r)
 
     def boundary_coeffs(self, term: SourceTerm) -> tuple[np.ndarray, np.ndarray]:
         """(f_n, ftilde_n): trace and traction coefficient pairs on the circle."""
         cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
         R = self.radius
-        ft = cs * wave_traction_coeffs(WaveKind.Q_INTERIOR, term.n, wn.ks, R, self.params)
-        ft = ft + cp * wave_traction_coeffs(
-            WaveKind.P_INTERIOR, term.n, wn.kp, R, self.params
+        return (
+            _qp_sum(cs, cp, wn, term.n, wave_coeffs, R),
+            _qp_sum(cs, cp, wn, term.n, wave_traction_coeffs, R, self.params),
         )
-        return self.coeffs(term, R), ft
 
 
 def source_boundary_data(
@@ -171,17 +175,21 @@ def solve_mode(system: np.ndarray, rhs: np.ndarray, n: int = 0) -> ModeSolution:
     the resonance signal, not a failure.
     """
     sol = np.linalg.solve(system, rhs)
-    res = np.linalg.norm(system @ sol - rhs)
-    scale = np.linalg.norm(system) * np.linalg.norm(sol) + np.linalg.norm(rhs)
     cond = float(np.linalg.cond(system))
     return ModeSolution(
         n=n,
         system=system,
         phi=sol.reshape(-1, 2),
-        residual=float(res / scale) if scale > 0 else float(res),
+        residual=_residual(system, sol, rhs),
         condition=cond,
         near_singular=cond > CONDITION_NEAR_SINGULAR,
     )
+
+
+def _residual(system: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> float:
+    res = np.linalg.norm(system @ sol - rhs)
+    scale = np.linalg.norm(system) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    return float(res / scale) if scale > 0 else float(res)
 
 
 def solve_modes(
@@ -252,6 +260,92 @@ def _axis_values(start: float, stop: float, steps: int, scale: str) -> np.ndarra
     raise ValueError(f"unknown scale {scale!r}")
 
 
+def _batched(fn, ids: np.ndarray, errors: dict[int, str]):
+    """fn over a batch of rows, leaving out the rows that fail alone.
+
+    fn takes a selection of positions in `ids` (a slice for the whole
+    batch, else a one-row list) and returns a tuple of arrays whose leading
+    axis runs over the selected rows.  A numeric failure (ValueError, which
+    covers LinAlgError, or ArithmeticError) of the whole batch reruns fn
+    row by row: the rows that still fail get their repr in `errors`, and
+    the others' one-row results are stacked.  Returns the rows kept and
+    fn's arrays over them, or None when no row is kept.
+    """
+    try:
+        return ids, fn(slice(None))
+    except (ValueError, ArithmeticError):
+        pass
+    kept, parts = [], []
+    for k, i in enumerate(ids):
+        try:
+            parts.append(fn([k]))
+            kept.append(k)
+        except (ValueError, ArithmeticError) as exc:
+            errors[i] = repr(exc)
+    if not kept:
+        return ids[:0], None
+    return ids[kept], tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _solve_stack(stack: np.ndarray, rhs: np.ndarray):
+    """Solutions (B, 4L) and conditions (B,) of a (B, 4L, 4L) stack sharing
+    one right-hand side: one `np.linalg.solve` and one `np.linalg.cond`,
+    row k bit for bit what `solve_mode(stack[k], rhs)` computes.  rhs enters
+    as a (1, 4L, 1) stack of columns, which numpy 1.x and 2.x both
+    broadcast over the batch.  A singular row raises LinAlgError for the
+    whole stack."""
+    sol = np.linalg.solve(stack, rhs[None, :, None])[..., 0]
+    return sol, np.linalg.cond(stack)
+
+
+def _solve_term(shells, matrix, omega, R, term, rhs, ids, errors):
+    """One source mode at the rows `ids`: (rows kept, per-row diagnostics).
+
+    The diagnostics of a row are its region-0 energy, |psi11|, condition
+    and residual, each computed as `dissipation_energy` and `solve_mode`
+    compute it for that row alone.
+    """
+    batch = shells[ids]
+    ids, built = _batched(
+        lambda sel: (layered_system((batch[sel], matrix), (R,), omega, term.n),),
+        ids, errors,
+    )
+    if built is None:
+        return ids, []
+    (stack,) = built
+    ids, solved = _batched(
+        lambda sel: (stack[sel], *_solve_stack(stack[sel], rhs)), ids, errors
+    )
+    if solved is None:
+        return ids, []
+    stack, sol, cond = solved
+    return ids, [
+        (region_energy(s, x.reshape(-1, 2), (R,), 0), abs(x[0]), float(c),
+         _residual(s, x, rhs))
+        for s, x, c in zip(stack, sol, cond)
+    ]
+
+
+def _sweep_point(v: float, c: complex, diags: list, error: str) -> SweepPoint:
+    """The row of one sweep point from its per-mode diagnostics, in mode
+    order: the energy summed from 0.0 as `dissipation_energy` sums it, the
+    rest their maxima over the modes.  A point with no modes, or with an
+    error, is an error row."""
+    nan = math.nan
+    if not error:
+        try:
+            energy = 0.0
+            for d in diags:
+                energy += d[0]
+            return SweepPoint(
+                float(v), c, max(d[1] for d in diags), energy,
+                max(d[2] for d in diags), max(d[3] for d in diags),
+            )
+        except ValueError as exc:
+            error = repr(exc)
+    return SweepPoint(float(v), c, nan, nan, nan, nan, error)
+
+
 def sweep(
     axis: str,
     start: float,
@@ -272,23 +366,47 @@ def sweep(
     (ValueError, which covers LinAlgError and the degenerate-material and
     normalization errors, and ArithmeticError) are recorded in-row and the
     sweep continues; any other exception propagates.
+
+    The sweep points form one batch: the source data and, per source mode,
+    the matrix-material blocks are built once, the shells enter
+    `layered_system` as one batched material, and the stack is solved with
+    one `np.linalg.solve` and one `np.linalg.cond`.  When the batched build
+    or solve fails, it is redone point by point, so only the failing points
+    become error rows, with the error of their first failing source mode.
+    A failure of the source data marks every row, and so does an empty
+    `source`.  Every row is bit for bit the result of `solve_modes` and
+    `dissipation_energy` at that point alone.
     """
     if axis not in ("re_c", "im_c"):
         raise ValueError(f"axis must be 're_c' or 'im_c', got {axis!r}")
     values = _axis_values(float(start), float(stop), int(steps), scale)
-
-    def run_one(v: float) -> SweepPoint:
-        c = complex(v, c_other) if axis == "re_c" else complex(c_other, v)
+    cs = [complex(v, c_other) if axis == "re_c" else complex(c_other, v)
+          for v in values]
+    errors: dict[int, str] = {}
+    shells = np.empty(len(cs), dtype=object)
+    for i, c in enumerate(cs):
         try:
-            sols = solve_modes(matrix.scaled(c), matrix, omega, R, source)
-            energy = dissipation_energy(sols, R)
-            apsi = max(abs(s.psi1[0]) for s in sols)
-            cond = max(s.condition for s in sols)
-            resid = max(s.residual for s in sols)
-            return SweepPoint(float(v), c, apsi, energy, cond, resid)
+            shells[i] = matrix.scaled(c)
         except (ValueError, ArithmeticError) as exc:
-            return SweepPoint(
-                float(v), c, math.nan, math.nan, math.nan, math.nan, repr(exc)
-            )
-
-    return SweepResult(axis=axis, points=[run_one(v) for v in values])
+            errors[i] = repr(exc)
+    ids = np.array([i for i in range(len(cs)) if i not in errors], dtype=int)
+    try:
+        data = source_boundary_data(source, matrix, omega, R)
+    except (ValueError, ArithmeticError) as exc:
+        errors.update((i, repr(exc)) for i in ids)
+        ids = ids[:0]
+    diags: list[list] = [[] for _ in cs]  # per row, per mode, in mode order
+    for term in source.terms:
+        if not len(ids):
+            break
+        rhs = np.concatenate(data[term.n])
+        ids, rows = _solve_term(shells, matrix, omega, R, term, rhs, ids, errors)
+        for i, d in zip(ids, rows):
+            diags[i].append(d)
+    return SweepResult(
+        axis=axis,
+        points=[
+            _sweep_point(v, c, d, errors.get(i, ""))
+            for i, (v, c, d) in enumerate(zip(values, cs, diags))
+        ],
+    )

@@ -284,8 +284,25 @@ def two_radius_coupling(
     )
 
 
+def _per_material(build, p):
+    """Blocks `build(p)` of one material; for a batch of them, each block
+    built entry by entry and stacked along a leading batch axis."""
+    if isinstance(p, LameParams):
+        return build(p)
+    stacks = None
+    for k, q in enumerate(p):
+        blocks = build(q)
+        if stacks is None:
+            stacks = np.empty((len(blocks), len(p), 2, 2), dtype=complex)
+        stacks[:, k] = blocks
+    return stacks
+
+
 def layered_system(
-    materials: Sequence[LameParams], radii: Sequence[float], omega: float, n: int
+    materials: Sequence[LameParams | Sequence[LameParams]],
+    radii: Sequence[float],
+    omega: float,
+    n: int,
 ) -> np.ndarray:
     """4L x 4L transmission system of L concentric interfaces for mode n.
 
@@ -295,28 +312,53 @@ def layered_system(
     regions inside and outside it.  Row block j is the field of region j
     minus that of region j+1 at radii[j], trace rows then traction rows, so
     the incident data enter the right-hand side of the last block only.
+
+    Batch axis: each materials[j] is one `LameParams`, shared by every
+    system, or a sequence of B of them, one per system; with any sequence
+    the result is the (B, 4L, 4L) stack.  A shared material's blocks are
+    built once and broadcast over the stack; a batched material's blocks are
+    built entry by entry with the same scalar block functions, so every
+    system in the stack is bit for bit the one its entries give alone.
     """
     L = len(radii)
     if L < 1 or len(materials) != L + 1:
         raise ValueError("need at least one radius and one more material than radii")
-    m = np.zeros((4 * L, 4 * L), dtype=complex)
+    sizes = {len(p) for p in materials if not isinstance(p, LameParams)}
+    if len(sizes) > 1 or 0 in sizes:
+        raise ValueError("batched materials need one common, nonzero length")
+    m = np.zeros((*sizes, 4 * L, 4 * L), dtype=complex)
     for j, r in enumerate(radii):
         a, b = 4 * j, 4 * j + 2  # trace/traction rows; psi_j^in/psi_j^out columns
-        m[a : a + 2, a : a + 2] = mode_matrix_boundary(materials[j], omega, r, n)
-        m[b : b + 2, a : a + 2] = traction_matrix(
-            materials[j], omega, r, n, "interior_limit"
+        trace_in, traction_in = _per_material(
+            lambda p: (
+                mode_matrix_boundary(p, omega, r, n),
+                traction_matrix(p, omega, r, n, "interior_limit"),
+            ),
+            materials[j],
         )
-        m[a : a + 2, b : b + 2] = -mode_matrix_boundary(materials[j + 1], omega, r, n)
-        m[b : b + 2, b : b + 2] = -traction_matrix(
-            materials[j + 1], omega, r, n, "exterior_limit"
+        trace_out, traction_out = _per_material(
+            lambda p: (
+                mode_matrix_boundary(p, omega, r, n),
+                traction_matrix(p, omega, r, n, "exterior_limit"),
+            ),
+            materials[j + 1],
         )
+        m[..., a : a + 2, a : a + 2] = trace_in
+        m[..., b : b + 2, a : a + 2] = traction_in
+        m[..., a : a + 2, b : b + 2] = -trace_out
+        m[..., b : b + 2, b : b + 2] = -traction_out
     for j in range(1, L):  # annulus j couples psi_{j-1}^out and psi_j^in
-        c = two_radius_coupling(materials[j], omega, radii[j - 1], radii[j], n)
+        c = TwoRadiusBlocks(
+            *_per_material(
+                lambda p: two_radius_coupling(p, omega, radii[j - 1], radii[j], n),
+                materials[j],
+            )
+        )
         a = 4 * j
-        m[a - 4 : a - 2, a : a + 2] = -c.trace_inner
-        m[a - 2 : a, a : a + 2] = -c.traction_inner
-        m[a : a + 2, a - 2 : a] = c.trace_outer
-        m[a + 2 : a + 4, a - 2 : a] = c.traction_outer
+        m[..., a - 4 : a - 2, a : a + 2] = -c.trace_inner
+        m[..., a - 2 : a, a : a + 2] = -c.traction_inner
+        m[..., a : a + 2, a - 2 : a] = c.trace_outer
+        m[..., a + 2 : a + 4, a - 2 : a] = c.traction_outer
     return m
 
 

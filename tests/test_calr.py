@@ -140,6 +140,11 @@ class TestTuning:
         scaled = tune_p(scaled_cfg, steps=161)
         assert scaled.p == pytest.approx(base.p, abs=1e-6)
 
+    def test_stacked_scan_matches_point_determinants(self):
+        cfg = fig_config()
+        tr = tune_p(cfg, steps=241)
+        assert tr.scan_abs_det.tolist() == [abs(det_m(cfg, p)) for p in tr.scan_p]
+
     def test_complex_refine_reaches_the_zero(self):
         tr = tune_p(fig_config(), steps=121, complex_refine=True)
         assert abs(tr.p.imag) > 0  # leaves the real axis

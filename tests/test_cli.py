@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from elastodisk.artifacts import ManifestWriter, write_json
 from elastodisk.cli import main
 
 
@@ -196,6 +197,37 @@ field:
         assert "field.thetas" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("radii", [
+        "{start: 0.0, stop: 2.0, steps: 3}",  # the origin
+        "{start: 1.0, stop: -1.0, steps: 4}",  # negative radii
+    ])
+    def test_nonpositive_radius_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, radii
+    ):
+        import elastodisk.cli as cli
+
+        def no_solve(*args):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(cli, "solve_modes", no_solve)
+        cfg = write(tmp_path, "fr.yaml", """
+omega: 1.0
+geometry: {radius: 1.0}
+materials:
+  matrix: {lam: 1.0, mu: 1.0}
+  shell: {lam: -1.9, mu: -1.9}
+source:
+  terms: [{n: 5, kappa1: 1.0}]
+field:
+  kind: nocore
+  radii: RADII
+""".replace("RADII", radii))
+        out = tmp_path / "fr"
+        assert main(["field", "--config", cfg, "--out", str(out)]) == 2
+        assert "'field.radii'" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == 2
+
+
 class TestCalrCommand:
     def test_report_and_scan(self, tmp_path):
         cfg = write(tmp_path, "c.yaml", CALR_YAML)
@@ -335,3 +367,27 @@ def test_malformed_source_entries_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "m3.yaml", dup)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "m3")]) == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_manifest_is_strict_json(tmp_path):
+    m = ManifestWriter(tmp_path, "sweep", b"")
+    m.data["peak"] = {"axis_value": -1.9, "abs_psi11": float("nan")}
+    m.finish(0)
+    loaded = json.loads((tmp_path / "manifest.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert loaded["peak"] == {"axis_value": -1.9, "abs_psi11": None}
+
+
+def test_json_writer_maps_non_finite_to_null(tmp_path):
+    data = {"a": [1.0, float("inf"), (float("-inf"), 2)], "b": {"c": float("nan")}}
+    path = write_json(tmp_path / "r.json", data)
+    loaded = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert loaded == {"a": [1.0, None, [None, 2]], "b": {"c": None}}
+    finite = {"x": [0.1, 1e-300, 3], "y": "z"}
+    assert write_json(tmp_path / "f.json", finite).read_text() == (
+        json.dumps(finite, indent=2, sort_keys=True) + "\n"
+    )

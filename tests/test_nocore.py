@@ -333,10 +333,81 @@ class TestSweep:
         def broken(*args):
             raise TypeError("not a numeric failure")
 
-        monkeypatch.setattr(nocore, "solve_modes", broken)
+        monkeypatch.setattr(nocore, "layered_system", broken)
         with pytest.raises(TypeError):
             sweep("re_c", -1.9, -1.9, 1, matrix=P11, omega=1.0, R=1.0,
                   source=SourceModes.single(5, 1.0, 0.0), c_other=2.08e-9)
+
+    TWO_MODES = SourceModes((SourceTerm(5, 1.0), SourceTerm(3, 0.5, 0.2 + 0.1j)))
+
+    @staticmethod
+    def assert_rows_match_point_solves(res, source, errors):
+        """Healthy rows equal per-point solve_modes + dissipation_energy (==)."""
+        for q in res.points:
+            if q.value in errors:
+                assert q.error and math.isnan(q.abs_psi11)
+                continue
+            assert q.error == ""
+            sols = solve_modes(P11.scaled(q.c), P11, 1.0, 1.0, source)
+            assert q.abs_psi11 == max(abs(s.psi1[0]) for s in sols)
+            assert q.energy == dissipation_energy(sols, 1.0)
+            assert q.condition == max(s.condition for s in sols)
+            assert q.residual == max(s.residual for s in sols)
+
+    def test_degenerate_point_inside_the_batch(self):
+        # c = 0 makes the shell's wavenumbers undefined: that row alone fails
+        res = sweep("re_c", -1.0, 1.0, 5, matrix=P11, omega=1.0, R=1.0,
+                    source=self.TWO_MODES, c_other=0.0)
+        assert [q.value for q in res.points] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert "DegenerateMaterialError" in res.points[2].error
+        self.assert_rows_match_point_solves(res, self.TWO_MODES, {0.0})
+
+    def test_singular_system_leaves_the_other_rows_solved(self, monkeypatch):
+        bad = P11.scaled(complex(-1.9, 0.0))
+        real_layered = nocore.layered_system
+
+        def singular_at_bad(materials, *args):
+            stack = real_layered(materials, *args)
+            for k, shell in enumerate(materials[0]):
+                if shell == bad:
+                    stack[k] = 0.0
+            return stack
+
+        monkeypatch.setattr(nocore, "layered_system", singular_at_bad)
+        res = sweep("re_c", -2.0, -1.8, 3, matrix=P11, omega=1.0, R=1.0,
+                    source=self.TWO_MODES, c_other=0.0)
+        monkeypatch.undo()
+        assert "LinAlgError" in res.points[1].error
+        self.assert_rows_match_point_solves(res, self.TWO_MODES, {-1.9})
+
+    def test_source_failure_marks_every_row(self, monkeypatch):
+        def no_data(*args):
+            raise NormalizationSingularError("J_n(kR) = 0")
+
+        monkeypatch.setattr(nocore, "source_boundary_data", no_data)
+        res = sweep("re_c", -2.0, -1.8, 3, matrix=P11, omega=1.0, R=1.0,
+                    source=self.TWO_MODES, c_other=0.0)
+        assert all("NormalizationSingularError" in q.error for q in res.points)
+
+    def test_stacked_solve_matches_single_solves(self):
+        systems = [assemble_mode_system(P11.scaled(c), P11, 1.0, 1.0, 5)
+                   for c in (-1.9, -1.96 + 1e-9j, 0.5)]
+        rhs = np.arange(1.0, 5.0) * (1.0 - 0.5j)
+        # the whole stack, and the one-row stacks of the per-row fallback
+        for rows in ([0, 1, 2], [1]):
+            sol, cond = nocore._solve_stack(np.stack(systems)[rows], rhs)
+            assert sol.shape == (len(rows), 4) and cond.shape == (len(rows),)
+            for x, c, k in zip(sol, cond, rows):
+                want = solve_mode(systems[k], rhs, 5)
+                assert np.array_equal(x.reshape(-1, 2), want.phi)
+                assert float(c) == want.condition
+
+    def test_no_source_modes_gives_error_rows(self):
+        res = sweep("re_c", 0.5, 1.0, 3, matrix=P11, omega=1.0, R=1.0,
+                    source=SourceModes(()), c_other=0.0)
+        assert len(res.points) == 3
+        assert all("ValueError" in q.error and math.isnan(q.energy)
+                   for q in res.points)
 
     def test_log_axis_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from conftest import fd_lame_residual, fd_traction, quad_scalar, quad_vector_con
 from elastodisk.media import LameParams, wavenumbers
 from elastodisk.potentials import (
     WaveKind,
+    layered_system,
     mode_matrix_boundary,
     polar_to_cartesian,
     scalar_slp_mode,
@@ -390,3 +391,31 @@ def test_mode_matrix_boundary_quadrature():
         for r_eval in (R * (1 - eps), R * (1 + eps)):
             drift = np.max(np.abs(slp_trace(p, omega, R, n, r_eval) - mb))
             assert drift < 10.0 * eps * np.max(np.abs(mb)) + 1e-12
+
+
+class TestLayeredBatch:
+    """A batched material gives the stack of the systems its entries give alone."""
+
+    SHELLS = [LameParams(-1.9 + 0.01j, -1.9 + 0.01j), LameParams(2.0, 0.5), P11]
+
+    def test_batched_shell_with_shared_core_and_matrix(self):
+        core, matrix, radii = LameParams(0.7, 1.2), LameParams(1.3, 0.9), (0.8, 1.0)
+        stack = layered_system((core, self.SHELLS, matrix), radii, 5.0, 7)
+        assert stack.shape == (3, 8, 8)
+        for got, shell in zip(stack, self.SHELLS):
+            assert np.array_equal(got, layered_system((core, shell, matrix), radii, 5.0, 7))
+
+    def test_every_material_batched(self):
+        outer = self.SHELLS[::-1]
+        stack = layered_system((self.SHELLS, outer), (1.0,), 1.0, 5)
+        assert stack.shape == (3, 4, 4)
+        for got, p_in, p_out in zip(stack, self.SHELLS, outer):
+            assert np.array_equal(got, layered_system((p_in, p_out), (1.0,), 1.0, 5))
+
+    @pytest.mark.parametrize("materials", [
+        (SHELLS, SHELLS[:2]),  # batches of different lengths
+        ([], P11),  # an empty batch
+    ])
+    def test_batch_lengths_must_agree(self, materials):
+        with pytest.raises(ValueError, match="batched materials"):
+            layered_system(materials, (1.0,), 1.0, 5)
