@@ -292,7 +292,9 @@ def calr_energy(
     u_max = float(np.max(np.linalg.norm(field.evaluate(ring), axis=1)))
     incident = replace(field, densities={})
     f_max = float(np.max(np.linalg.norm(incident.evaluate(ring), axis=1)))
-    detval = complex(np.linalg.det(assemble_calr_matrix(cfg, cfg.n0)))
+    solved = {s.n: s.system for s in sols}  # reused when n0 is a source mode
+    system = solved[cfg.n0] if cfg.n0 in solved else assemble_calr_matrix(cfg, cfg.n0)
+    detval = complex(np.linalg.det(system))
     resonant = energy >= energy_threshold
     bounded = u_max <= bound_factor * f_max
     if resonant and bounded:

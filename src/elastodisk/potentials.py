@@ -12,6 +12,15 @@ serves field evaluation, boundary matrices and the two-radius couplings of
 the core-shell system alike.  `layered_system` assembles the transmission
 system of any number of concentric interfaces from these blocks, and
 `region_energy` reads a region's dissipation back off that system.
+
+Every block comes from one kernel, `_slp_blocks`, in two stages: a scalar
+stage per material (wavenumbers, cylinder pairs, weights and entries in
+Python complex arithmetic) and an array stage over the whole batch (the
+weighted sums and the traction jump in numpy).  Each step stays in the stage
+it ran in before the batch axis existed: on an AVX-512 CPU numpy's complex
+multiply and divide (FMA) differ from Python's in the last bit for about 43%
+of random operands, while numpy agrees with itself for any length or stride
+as long as the operand order is kept.
 """
 from __future__ import annotations
 
@@ -48,11 +57,32 @@ class WaveKind(enum.Enum):
         return self in (WaveKind.Q_INTERIOR, WaveKind.Q_EXTERIOR)
 
 
-def _radial_pair(kind: WaveKind, n: int, z: complex) -> tuple[complex, complex]:
-    pair = cyl_pair(n, z)
-    if kind.is_interior:
-        return pair.j, pair.jp
-    return pair.h, pair.hp
+def _trace_entries(shear: bool, n: int, z: complex, f: complex, fp: complex):
+    """(nu, t) displacement entries of Q_n (shear) or P_n from f_n(z), f_n'(z)."""
+    if shear:
+        return 2.0 * n * f / z, 2j * fp
+    return 2.0 * fp, 2j * n * f / z
+
+
+def _traction_entries(
+    shear: bool, n: int, k: complex, r: float, z: complex, f: complex, fp: complex,
+    p: LameParams,
+):
+    """(nu, t) traction entries of Q_n (shear) or P_n at r, z = k r."""
+    mu = p.mu
+    omega2 = (mu if shear else (p.lam + 2.0 * mu)) * k * k
+    edge = 4.0 * n * mu * (z * fp - f) / (k * r * r)
+    body = 2.0 * ((2.0 * mu * n * n - omega2 * r * r) * f - 2.0 * mu * z * fp) / (
+        k * r * r
+    )
+    if shear:
+        return edge, 1j * body
+    return body, 1j * edge
+
+
+def _radial(pair, entire: bool) -> tuple[complex, complex]:
+    """(f, f') of a `CylPair`: J for entire fields, H for radiating ones."""
+    return (pair.j, pair.jp) if entire else (pair.h, pair.hp)
 
 
 def wave_coeffs(kind: WaveKind, n: int, k: complex, r: float) -> np.ndarray:
@@ -65,10 +95,8 @@ def wave_coeffs(kind: WaveKind, n: int, k: complex, r: float) -> np.ndarray:
     if r <= 0.0:
         raise ValueError("evaluation radius must be positive")
     z = k * r
-    f, fp = _radial_pair(kind, n, z)
-    if kind.is_shear:
-        return np.array([2.0 * n * f / z, 2j * fp])
-    return np.array([2.0 * fp, 2j * n * f / z])
+    f, fp = _radial(cyl_pair(n, z), kind.is_interior)
+    return np.array(_trace_entries(kind.is_shear, n, z, f, fp))
 
 
 def wave_traction_coeffs(
@@ -82,16 +110,8 @@ def wave_traction_coeffs(
     if r <= 0.0:
         raise ValueError("evaluation radius must be positive")
     z = k * r
-    f, fp = _radial_pair(kind, n, z)
-    mu = p.mu
-    omega2 = (mu if kind.is_shear else (p.lam + 2.0 * mu)) * k * k
-    edge = 4.0 * n * mu * (z * fp - f) / (k * r * r)
-    body = 2.0 * ((2.0 * mu * n * n - omega2 * r * r) * f - 2.0 * mu * z * fp) / (
-        k * r * r
-    )
-    if kind.is_shear:
-        return np.array([edge, 1j * body])
-    return np.array([body, 1j * edge])
+    f, fp = _radial(cyl_pair(n, z), kind.is_interior)
+    return np.array(_traction_entries(kind.is_shear, n, k, r, z, f, fp, p))
 
 
 def _radius(x) -> float:
@@ -126,34 +146,59 @@ def scalar_slp_mode(k: complex, R: float, n: int, x) -> complex:
     )
 
 
-def _source_factors(
-    p: LameParams, omega: float, src_radius: float, n: int, exterior: bool
-):
-    """Weights multiplying the Q/P eval-side coefficient vectors.
+def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
+    """Trace and traction blocks of the vector SLP for each link, per material.
 
-    Returns (ks, kp, wQ_nu, wP_nu, wQ_t, wP_t): column `nu` of the trace or
-    traction matrix is wQ_nu * Q(eval) + wP_nu * P(eval), column `t` is
-    wQ_t * Q(eval) + wP_t * P(eval).
+    A link (R, r, exterior, jump) is the SLP on the circle R read at radius
+    r, in the exterior representation (Bessel source weights, Hankel fields;
+    needed when r > R) or the interior one; `jump` takes the interior limit
+    of the traction on the SLP's own circle.  Returns (K, 4, 2), the 2x2
+    trace over the 2x2 traction per link, or (B, K, 4, 2) for a sequence of
+    B materials.  Scalar stage, per entry: one `wavenumbers`, one `cyl_pair`
+    per distinct k r, and per link 12 Python scalars, the weights (wq_nu,
+    wq_t, wp_nu, wp_t) then the Q and P entries (trace nu, t, traction nu,
+    t), in a preallocated (B, K, 12) array.  Array stage: the column of
+    density c is wq_c Q + wp_c P, then - I.
     """
-    wn = wavenumbers(p, omega)
-    ks, kp = wn.ks, wn.kp
-    R = src_radius
-    zs, zp_ = ks * R, kp * R
-    pair_s, pair_p = cyl_pair(n, zs), cyl_pair(n, zp_)
-    if exterior:
-        fs, fsp = pair_s.j, pair_s.jp
-        fp_, fpp = pair_p.j, pair_p.jp
-    else:
-        fs, fsp = pair_s.h, pair_s.hp
-        fp_, fpp = pair_p.h, pair_p.hp
+    batch = not isinstance(p, LameParams)
+    for R, r, _, _ in links:
+        if R <= 0.0 or r <= 0.0:
+            raise ValueError("evaluation radius must be positive")
     om2 = complex(omega) * complex(omega)
-    pref_nu = -1j * math.pi / (4.0 * om2 * R)
-    pref_t = -math.pi / (4.0 * om2 * R)
-    wq_nu = pref_nu * n * zs * fs
-    wp_nu = pref_nu * zp_ * zp_ * fpp
-    wq_t = pref_t * zs * zs * fsp
-    wp_t = pref_t * n * zp_ * fp_
-    return ks, kp, wq_nu, wp_nu, wq_t, wp_t
+    rows = np.empty((len(p) if batch else 1, len(links), 12), dtype=complex)
+    for b, q in enumerate(p if batch else (p,)):
+        wn = wavenumbers(q, omega)
+        ks, kp = wn.ks, wn.kp
+        pairs = {}
+        for i, (R, r, exterior, _) in enumerate(links):
+            for x in (R, r):
+                if x not in pairs:
+                    pairs[x] = (cyl_pair(n, ks * x), cyl_pair(n, kp * x))
+            fs, fsp = _radial(pairs[R][0], exterior)
+            fp, fpp = _radial(pairs[R][1], exterior)
+            pref_nu = -1j * math.pi / (4.0 * om2 * R)
+            pref_t = -math.pi / (4.0 * om2 * R)
+            zs, zp = ks * R, kp * R
+            g, gp = _radial(pairs[r][0], not exterior)
+            h, hp = _radial(pairs[r][1], not exterior)
+            ws, wp = ks * r, kp * r
+            rows[b, i] = (
+                pref_nu * n * zs * fs,
+                pref_t * zs * zs * fsp,
+                pref_nu * zp * zp * fpp,
+                pref_t * n * zp * fp,
+                *_trace_entries(True, n, ws, g, gp),
+                *_traction_entries(True, n, ks, r, ws, g, gp, q),
+                *_trace_entries(False, n, wp, h, hp),
+                *_traction_entries(False, n, kp, r, wp, h, hp, q),
+            )
+    # Weights first: numpy's complex multiply (FMA) is not commutative bitwise.
+    blocks = rows[..., None, 0:2] * rows[..., 4:8, None]
+    blocks += rows[..., None, 2:4] * rows[..., 8:12, None]
+    jumps = [i for i, link in enumerate(links) if link[3]]
+    if jumps:
+        blocks[:, jumps, 2:] -= _I2
+    return blocks if batch else blocks[0]
 
 
 def slp_trace(
@@ -172,16 +217,7 @@ def slp_trace(
     """
     if exterior is None:
         exterior = eval_radius >= src_radius
-    ks, kp, wq_nu, wp_nu, wq_t, wp_t = _source_factors(
-        p, omega, src_radius, n, exterior
-    )
-    qk = WaveKind.Q_EXTERIOR if exterior else WaveKind.Q_INTERIOR
-    pk = WaveKind.P_EXTERIOR if exterior else WaveKind.P_INTERIOR
-    q = wave_coeffs(qk, n, ks, eval_radius)
-    pp = wave_coeffs(pk, n, kp, eval_radius)
-    col_nu = wq_nu * q + wp_nu * pp
-    col_t = wq_t * q + wp_t * pp
-    return np.column_stack([col_nu, col_t])
+    return _slp_blocks(p, omega, n, [(src_radius, eval_radius, exterior, False)])[0, :2]
 
 
 def slp_traction_offboundary(
@@ -194,17 +230,8 @@ def slp_traction_offboundary(
     """Traction matrix of the SLP away from its own circle (no jump there)."""
     if eval_radius == src_radius:
         raise ValueError("use traction_matrix for the on-boundary limits")
-    exterior = eval_radius > src_radius
-    ks, kp, wq_nu, wp_nu, wq_t, wp_t = _source_factors(
-        p, omega, src_radius, n, exterior
-    )
-    qk = WaveKind.Q_EXTERIOR if exterior else WaveKind.Q_INTERIOR
-    pk = WaveKind.P_EXTERIOR if exterior else WaveKind.P_INTERIOR
-    q = wave_traction_coeffs(qk, n, ks, eval_radius, p)
-    pp = wave_traction_coeffs(pk, n, kp, eval_radius, p)
-    col_nu = wq_nu * q + wp_nu * pp
-    col_t = wq_t * q + wp_t * pp
-    return np.column_stack([col_nu, col_t])
+    link = (src_radius, eval_radius, eval_radius > src_radius, False)
+    return _slp_blocks(p, omega, n, [link])[0, 2:]
 
 
 def mode_matrix_boundary(p: LameParams, omega: float, R: float, n: int) -> np.ndarray:
@@ -220,15 +247,10 @@ def traction_matrix(
     The exterior limit is the (g_1..g_4) matrix; the interior limit is the
     exterior one minus the identity (traction jump of the single layer).
     """
-    ks, kp, wq_nu, wp_nu, wq_t, wp_t = _source_factors(p, omega, R, n, True)
-    q = wave_traction_coeffs(WaveKind.Q_EXTERIOR, n, ks, R, p)
-    pp = wave_traction_coeffs(WaveKind.P_EXTERIOR, n, kp, R, p)
-    g = np.column_stack([wq_nu * q + wp_nu * pp, wq_t * q + wp_t * pp])
-    if side in ("exterior_limit", "exterior"):
-        return g
-    if side in ("interior_limit", "interior"):
-        return g - _I2
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("exterior_limit", "exterior", "interior_limit", "interior"):
+        raise ValueError(f"unknown side {side!r}")
+    jump = side.startswith("interior")
+    return _slp_blocks(p, omega, n, [(R, R, True, jump)])[0, 2:]
 
 
 def vector_slp_eval(
@@ -276,26 +298,9 @@ def two_radius_coupling(
     """All four cross-circle blocks for a shell material p."""
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
-    return TwoRadiusBlocks(
-        trace_inner=slp_trace(p, omega, r_outer, n, r_inner),
-        traction_inner=slp_traction_offboundary(p, omega, r_outer, n, r_inner),
-        trace_outer=slp_trace(p, omega, r_inner, n, r_outer),
-        traction_outer=slp_traction_offboundary(p, omega, r_inner, n, r_outer),
-    )
-
-
-def _per_material(build, p):
-    """Blocks `build(p)` of one material; for a batch of them, each block
-    built entry by entry and stacked along a leading batch axis."""
-    if isinstance(p, LameParams):
-        return build(p)
-    stacks = None
-    for k, q in enumerate(p):
-        blocks = build(q)
-        if stacks is None:
-            stacks = np.empty((len(blocks), len(p), 2, 2), dtype=complex)
-        stacks[:, k] = blocks
-    return stacks
+    links = [(r_outer, r_inner, False, False), (r_inner, r_outer, True, False)]
+    inner, outer = _slp_blocks(p, omega, n, links)
+    return TwoRadiusBlocks(inner[:2], inner[2:], outer[:2], outer[2:])
 
 
 def layered_system(
@@ -317,48 +322,31 @@ def layered_system(
     system, or a sequence of B of them, one per system; with any sequence
     the result is the (B, 4L, 4L) stack.  A shared material's blocks are
     built once and broadcast over the stack; a batched material's blocks are
-    built entry by entry with the same scalar block functions, so every
+    built by the same kernel, entry by entry up to the array stage, so every
     system in the stack is bit for bit the one its entries give alone.
     """
     L = len(radii)
     if L < 1 or len(materials) != L + 1:
         raise ValueError("need at least one radius and one more material than radii")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("need 0 < r_inner < r_outer")
     sizes = {len(p) for p in materials if not isinstance(p, LameParams)}
     if len(sizes) > 1 or 0 in sizes:
         raise ValueError("batched materials need one common, nonzero length")
     m = np.zeros((*sizes, 4 * L, 4 * L), dtype=complex)
-    for j, r in enumerate(radii):
-        a, b = 4 * j, 4 * j + 2  # trace/traction rows; psi_j^in/psi_j^out columns
-        trace_in, traction_in = _per_material(
-            lambda p: (
-                mode_matrix_boundary(p, omega, r, n),
-                traction_matrix(p, omega, r, n, "interior_limit"),
-            ),
-            materials[j],
-        )
-        trace_out, traction_out = _per_material(
-            lambda p: (
-                mode_matrix_boundary(p, omega, r, n),
-                traction_matrix(p, omega, r, n, "exterior_limit"),
-            ),
-            materials[j + 1],
-        )
-        m[..., a : a + 2, a : a + 2] = trace_in
-        m[..., b : b + 2, a : a + 2] = traction_in
-        m[..., a : a + 2, b : b + 2] = -trace_out
-        m[..., b : b + 2, b : b + 2] = -traction_out
-    for j in range(1, L):  # annulus j couples psi_{j-1}^out and psi_j^in
-        c = TwoRadiusBlocks(
-            *_per_material(
-                lambda p: two_radius_coupling(p, omega, radii[j - 1], radii[j], n),
-                materials[j],
-            )
-        )
-        a = 4 * j
-        m[..., a - 4 : a - 2, a : a + 2] = -c.trace_inner
-        m[..., a - 2 : a, a : a + 2] = -c.traction_inner
-        m[..., a : a + 2, a - 2 : a] = c.trace_outer
-        m[..., a + 2 : a + 4, a - 2 : a] = c.traction_outer
+    for j, p in enumerate(materials):
+        # Region j meets circle j-1 from outside and circle j from inside.
+        # The SLP of circle s read on circle e fills row block e (negated
+        # when region j is the outer side of e) and the columns of
+        # psi_s^in (s == j) or psi_s^out (s == j-1).
+        circles = [i for i in (j - 1, j) if 0 <= i < L]
+        pairs = [(e, s) for e in circles for s in circles]
+        links = [(radii[s], radii[e], e >= s, e == s == j) for e, s in pairs]
+        blocks = _slp_blocks(p, omega, n, links)
+        for k, (e, s) in enumerate(pairs):
+            col = 4 * s + 2 * (s < j)
+            blk = blocks[..., k, :, :]
+            m[..., 4 * e : 4 * e + 4, col : col + 2] = blk if e == j else -blk
     return m
 
 

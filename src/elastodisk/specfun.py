@@ -1,8 +1,12 @@
 """Integer-order Bessel J_n and first-kind Hankel H_n for complex arguments.
 
 Scalar, pure double precision.  The evaluation region is split so that every
-path stays below ~1e-12 relative error on the validated envelope
-|n| <= 200 (values permitting), |z| in [1e-2, 1e2], arg z in (-pi/2, pi/2]:
+path stays below 5e-12 relative error, the bound the mpmath checks enforce,
+on the validated envelope |n| <= 200 (values permitting), |z| in [1e-2, 1e2],
+arg z in (-pi/2, pi/2].  Screened against mpmath, the worst points sit at
+the branch switches: 3.7e-12 near |z| = 17 with Im z ~ 5.3, and one known
+excess, H at the corner of the J + iY path (|z| ~ 7.6-8, Im z ~ 3.6-4),
+which reaches 7.9e-12:
 
 * Im z < 0 is mapped to the upper half plane through
   J_n(z) = conj(J_n(conj z)) and H_n(z) = 2 J_n(z) - conj(H_n(conj z));

@@ -191,6 +191,23 @@ class TestEnergy:
         assert e1 > 0
         assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
+    @pytest.mark.parametrize("n, builds", [(N0, [N0]), (N0 + 1, [N0 + 1, N0])])
+    def test_working_mode_system_is_built_once(self, monkeypatch, n, builds):
+        # det_m reuses the solved system when n0 is a source mode
+        import elastodisk.calr as calr
+
+        built = []
+
+        def counted(materials, radii, omega, mode):
+            built.append(mode)
+            return layered_system(materials, radii, omega, mode)
+
+        monkeypatch.setattr(calr, "layered_system", counted)
+        cfg = fig_config(p=P_TUNED[25])
+        rep = calr_energy(cfg, SourceModes.single(n, 1.0, 0.0))
+        assert built == builds
+        assert rep.det_m == complex(np.linalg.det(assemble_calr_matrix(cfg, N0)))
+
     def test_rejects_pressure_sources(self):
         with pytest.raises(ValueError):
             calr_energy(fig_config(), SourceModes.single(N0, 0.0, 1.0))

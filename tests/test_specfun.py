@@ -112,6 +112,7 @@ class TestCylPair:
         for a, b in ((p.j, m.j), (p.jp, m.jp), (p.h, m.h), (p.hp, m.hp)):
             assert -a == pytest.approx(b, rel=1e-15)
 
+    @pytest.mark.slow
     def test_against_mpmath(self):
         for n, z in [(0, 0.05 + 0.01j), (7, 4 - 1j), (25, 12 + 9j), (60, 70 + 20j),
                      (3, 90j), (40, 15.0 + 0j)]:
@@ -127,9 +128,19 @@ class TestCylPair:
             ("miller_ja", [(1, 10 + 2j), (61, 12 + 1j), (120, 15 + 4j), (200, 9 + 0.5j)]),
             ("miller_j0", [(1, 9 + 6j), (61, 10 + 8j), (150, 8 + 13j)]),
             ("asymptotic", [(1, 30 + 2j), (61, 40 + 5j), (120, 60 + 3j), (200, 90 + 1j)]),
+            # screened points next to the branch switches, 4.8e-12 and 3.7e-12
+            ("jiy_corner", [(2, 6.275320584440288 + 3.96875j)]),
+            ("miller_j0_switch", [(0, 15.963471160615178 + 5.341011306448887j)]),
         )
         for n, z in points
+    ] + [
+        # H_2 is 7.9e-12 off here: the J + iY subtraction near its Im z = 4
+        # limit at |z| ~ 8 (a known excess, see the specfun docstring)
+        pytest.param(2, 6.837507518909508 + 3.9844556386916774j,
+                     id="jiy_corner_excess-n2",
+                     marks=pytest.mark.xfail(strict=True, reason="known 7.9e-12 excess")),
     ])
+    @pytest.mark.slow
     def test_against_mpmath_high_order(self, n, z):
         assert_matches_mpmath(n, z)
 
