@@ -263,27 +263,32 @@ def _axis_values(start: float, stop: float, steps: int, scale: str) -> np.ndarra
 def _batched(fn, ids: np.ndarray, errors: dict[int, str]):
     """fn over a batch of rows, leaving out the rows that fail alone.
 
-    fn takes a selection of positions in `ids` (a slice for the whole
-    batch, else a one-row list) and returns a tuple of arrays whose leading
-    axis runs over the selected rows.  A numeric failure (ValueError, which
-    covers LinAlgError, or ArithmeticError) of the whole batch reruns fn
-    row by row: the rows that still fail get their repr in `errors`, and
-    the others' one-row results are stacked.  Returns the rows kept and
-    fn's arrays over them, or None when no row is kept.
+    fn takes a slice of positions in `ids` and returns a tuple of arrays
+    whose leading axis runs over the selected rows.  A numeric failure
+    (ValueError, which covers LinAlgError, or ArithmeticError) of a slice
+    splits it in halves, recursively, so the rows around a failing one stay
+    batched: a row that fails alone gets its repr in `errors`, and the
+    results of the slices that pass are stacked in row order.  Returns the
+    rows kept and fn's arrays over them, or None when no row is kept.
     """
-    try:
-        return ids, fn(slice(None))
-    except (ValueError, ArithmeticError):
-        pass
     kept, parts = [], []
-    for k, i in enumerate(ids):
+
+    def run(lo: int, hi: int) -> None:
         try:
-            parts.append(fn([k]))
-            kept.append(k)
+            parts.append(fn(slice(lo, hi)))
+            kept.extend(range(lo, hi))
         except (ValueError, ArithmeticError) as exc:
-            errors[i] = repr(exc)
+            if hi - lo > 1:
+                run(lo, (lo + hi) // 2)
+                run((lo + hi) // 2, hi)
+            elif hi > lo:
+                errors[ids[lo]] = repr(exc)
+
+    run(0, len(ids))
     if not kept:
         return ids[:0], None
+    if len(parts) == 1:
+        return ids[kept], parts[0]
     return ids[kept], tuple(np.concatenate(a) for a in zip(*parts))
 
 
@@ -371,8 +376,9 @@ def sweep(
     the matrix-material blocks are built once, the shells enter
     `layered_system` as one batched material, and the stack is solved with
     one `np.linalg.solve` and one `np.linalg.cond`.  When the batched build
-    or solve fails, it is redone point by point, so only the failing points
-    become error rows, with the error of their first failing source mode.
+    or solve fails, it is redone on halves of the batch, recursively, so
+    only the failing points become error rows, with the error of their
+    first failing source mode.
     A failure of the source data marks every row, and so does an empty
     `source`.  Every row is bit for bit the result of `solve_modes` and
     `dissipation_energy` at that point alone.

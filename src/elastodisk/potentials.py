@@ -14,13 +14,14 @@ system of any number of concentric interfaces from these blocks, and
 `region_energy` reads a region's dissipation back off that system.
 
 Every block comes from one kernel, `_slp_blocks`, in two stages: a scalar
-stage per material (wavenumbers, cylinder pairs, weights and entries in
-Python complex arithmetic) and an array stage over the whole batch (the
-weighted sums and the traction jump in numpy).  Each step stays in the stage
-it ran in before the batch axis existed: on an AVX-512 CPU numpy's complex
-multiply and divide (FMA) differ from Python's in the last bit for about 43%
-of random operands, while numpy agrees with itself for any length or stride
-as long as the operand order is kept.
+stage per material (wavenumbers, weights and entries in Python complex
+arithmetic, the cylinder values of a large batch from one `cyl_pairs` call,
+which replays that arithmetic on float arrays) and an array stage over the
+whole batch (the weighted sums and the traction jump in numpy).  Each step
+stays in the stage it ran in before the batch axis existed: on an AVX-512
+CPU numpy's complex multiply and divide (FMA) differ from Python's in the
+last bit for about 43% of random operands, while numpy agrees with itself
+for any length or stride as long as the operand order is kept.
 """
 from __future__ import annotations
 
@@ -31,9 +32,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .media import LameParams, wavenumbers
-from .specfun import cyl_pair
+from .specfun import cyl_pair, cyl_pairs
 
 _I2 = np.eye(2, dtype=complex)
+# Distinct arguments from which one `cyl_pairs` call beats scalar `cyl_pair`
+# misses.  Timed on a 2-CPU AVX-512 host, cold cache, best of 7: at order 5
+# with sweep-shell arguments (series branch) the array pass takes 2.0 ms
+# against 2.2 ms at 80 arguments; at order 25 with Im z ~ 6 (continued-
+# fraction branch) 3.8 ms either way at 96, 4.0 against 4.6 ms at 112.
+# 4000 sweep-shell arguments take 24 ms against 109 ms.
+_ARRAY_MIN_ARGS = 96
 
 
 class WaveKind(enum.Enum):
@@ -146,6 +154,30 @@ def scalar_slp_mode(k: complex, R: float, n: int, x) -> complex:
     )
 
 
+class _Pair(NamedTuple):
+    """The fields of a `CylPair` that `_radial` reads, for the array path."""
+
+    j: complex
+    jp: complex
+    h: complex
+    hp: complex
+
+
+def _lookup(n: int, args):
+    """A `cyl_pair`-like lookup (n, z) -> pair for every z in args.
+
+    From `_ARRAY_MIN_ARGS` distinct arguments up, one `cyl_pairs` call
+    computes them all (bit for bit the scalar values); below that the
+    cached scalar `cyl_pair` is the lookup.
+    """
+    args = list(dict.fromkeys(args))
+    if len(args) < _ARRAY_MIN_ARGS:
+        return cyl_pair
+    values = (a.tolist() for a in cyl_pairs(n, args))
+    pairs = dict(zip(args, map(_Pair, *values)))
+    return lambda n, z: pairs[z]
+
+
 def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
     """Trace and traction blocks of the vector SLP for each link, per material.
 
@@ -154,26 +186,35 @@ def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
     needed when r > R) or the interior one; `jump` takes the interior limit
     of the traction on the SLP's own circle.  Returns (K, 4, 2), the 2x2
     trace over the 2x2 traction per link, or (B, K, 4, 2) for a sequence of
-    B materials.  Scalar stage, per entry: one `wavenumbers`, one `cyl_pair`
-    per distinct k r, and per link 12 Python scalars, the weights (wq_nu,
-    wq_t, wp_nu, wp_t) then the Q and P entries (trace nu, t, traction nu,
-    t), in a preallocated (B, K, 12) array.  Array stage: the column of
-    density c is wq_c Q + wp_c P, then - I.
+    B materials.  Scalar stage: every entry's `wavenumbers` first; for a
+    large batch, the cylinder values of every distinct k r over all entries
+    and radii from one `cyl_pairs` call (see `_lookup`), else one cached
+    `cyl_pair` per entry and distinct k r; then per link 12 Python scalars,
+    the weights (wq_nu, wq_t, wp_nu, wp_t) then the Q and P entries (trace
+    nu, t, traction nu, t), in a preallocated (B, K, 12) array.  Array
+    stage: the column of density c is wq_c Q + wp_c P, then - I.
     """
     batch = not isinstance(p, LameParams)
     for R, r, _, _ in links:
         if R <= 0.0 or r <= 0.0:
             raise ValueError("evaluation radius must be positive")
     om2 = complex(omega) * complex(omega)
-    rows = np.empty((len(p) if batch else 1, len(links), 12), dtype=complex)
-    for b, q in enumerate(p if batch else (p,)):
-        wn = wavenumbers(q, omega)
+    entries = p if batch else (p,)
+    wns = [wavenumbers(q, omega) for q in entries]
+    lookup = cyl_pair
+    if batch:
+        radii = [x for link in links for x in link[:2]]
+        lookup = _lookup(
+            n, [k * x for wn in wns for x in radii for k in (wn.ks, wn.kp)]
+        )
+    rows = np.empty((len(entries), len(links), 12), dtype=complex)
+    for b, (q, wn) in enumerate(zip(entries, wns)):
         ks, kp = wn.ks, wn.kp
         pairs = {}
         for i, (R, r, exterior, _) in enumerate(links):
             for x in (R, r):
                 if x not in pairs:
-                    pairs[x] = (cyl_pair(n, ks * x), cyl_pair(n, kp * x))
+                    pairs[x] = (lookup(n, ks * x), lookup(n, kp * x))
             fs, fsp = _radial(pairs[R][0], exterior)
             fp, fpp = _radial(pairs[R][1], exterior)
             pref_nu = -1j * math.pi / (4.0 * om2 * R)

@@ -11,7 +11,7 @@ import numpy as np
 from .media import LameParams
 from .potentials import scalar_slp_mode, vector_slp_eval
 from .quadrature import scalar_slp_quadrature, vector_slp_quadrature
-from .specfun import cyl_pair
+from .specfun import cyl_pair, cyl_pairs
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,35 @@ def recurrence_check(
     return CheckResult("recurrence", worst, bound)
 
 
+def array_path_check(
+    orders=(0, 1, 5, 25, 60, 200, -3),
+    radii=None,
+    args=(-1.2, 0.0, 0.7, 1.2, math.pi / 2, 2.5),
+    bound: float = 1.0,
+) -> CheckResult:
+    """Entries where `cyl_pairs` and `cyl_pair` differ in any bit.
+
+    The array path replays this interpreter's complex arithmetic; the bound
+    of 1 passes only when every entry matches, so an interpreter whose
+    complex rules differ fails here instead of changing output bytes.  The
+    grid covers both |z| <= 8 branches, the Im z = 4 switch and the
+    arguments beyond |z| = 8 that the array path hands back to `cyl_pair`.
+    """
+    if radii is None:
+        radii = np.logspace(-2, 1.2, 17)
+    zs = [complex(r * math.cos(a), r * math.sin(a)) for r in radii for a in args]
+    zs += [complex(x, 4.0) for x in (0.5, 3.0, 6.8)]
+    worst = 0
+    for n in orders:
+        got = cyl_pairs(n, zs)
+        for i, z in enumerate(zs):
+            p = cyl_pair(n, z)
+            want = np.array([p.j, p.jp, p.h, p.hp])
+            have = np.array([a[i] for a in got])
+            worst += int(np.any(have.view(np.uint64) != want.view(np.uint64)))
+    return CheckResult("array_path_bits", float(worst), bound)
+
+
 def scalar_quadrature_check(trials: int = 6, seed: int = 11, bound: float = 1e-8):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -119,6 +148,7 @@ def run_all() -> list[CheckResult]:
     return [
         wronskian_check(),
         recurrence_check(),
+        array_path_check(),
         scalar_quadrature_check(),
         vector_quadrature_check(),
     ]

@@ -32,6 +32,23 @@ Derivatives always come from the three-term ladder f_n' = f_{n-1} - n f_n/z,
 never from finite differences.  Orders so large that the true value
 over/underflows double precision propagate inf/0 in the IEEE way.
 
+`cyl_pairs` is the array path: one pass over many arguments at a common
+order, each result bit for bit what `cyl_pair` returns for that argument.
+It covers the two |z| <= 8 branches (the J + iY series with the upward Y
+recurrence, and the continued-fraction closure for Im z > 4); arguments
+with |z| > 8 go through the cached scalar path one at a time.  numpy's
+complex multiply and divide use FMA on AVX-512 hosts and differ from
+Python's in the last bit for a large share of operands, so the array path
+keeps real and imaginary parts in separate float64 arrays and replays
+CPython 3.11's complex arithmetic on them (`_Cx`): products without FMA,
+Smith's division, abs through hypot, and real operands promoted to
+complex(x, 0.0).  The transcendentals (cmath.log, cmath.exp,
+math.lgamma) stay Python scalar calls, and every element's series,
+continued fraction and recurrence stops at the step where the scalar loop
+breaks.  The emulation rests on the interpreter's complex rules (Python
+3.14 changed the mixed real/complex ones); `elastodisk selfcheck` counts
+the mismatches on a fixed grid and fails on any.
+
 All functions are pure and safe to call from any number of threads.
 """
 from __future__ import annotations
@@ -40,6 +57,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -203,7 +222,10 @@ def _miller_down(nmax: int, z: complex) -> tuple[dict[int, complex], complex]:
 
 def _upward_top(nmax: int, z: complex,
                 f0: complex, f1: complex) -> tuple[complex, complex]:
-    """f_{nmax-1}, f_nmax by upward recurrence (stable for the dominant solution)."""
+    """f_{nmax-1}, f_nmax by upward recurrence (stable for the dominant solution).
+
+    Runs unchanged on `_Cx` arrays, the array path's complex type.
+    """
     for m in range(1, nmax):
         f0, f1 = f1, (2.0 * m / z) * f1 - f0
     return f0, f1
@@ -290,3 +312,287 @@ def bessel_j(n: int, z) -> complex:
 def hankel1(n: int, z) -> complex:
     """H_n(z) = J_n(z) + i Y_n(z), first kind; z = 0 is rejected."""
     return cyl_pair(n, z).h
+
+
+# -- array path --------------------------------------------------------------
+
+
+def _quot(ar, ai, br, bi) -> "_Cx":
+    """a / b as CPython 3.11's _Py_c_quot computes it (Smith's algorithm):
+    scaled by b.real where |b.real| >= |b.imag|, else by b.imag where
+    |b.imag| >= |b.real|, else (a NaN part) NaN."""
+    abs_br, abs_bi = np.abs(br), np.abs(bi)
+    if np.any((abs_br == 0.0) & (abs_bi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_re, by_im = abs_br >= abs_bi, abs_bi > abs_br
+    if not np.all(by_im):
+        ratio = bi / br
+        denom = br + bi * ratio
+        first = _Cx((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+        if np.all(by_re):
+            return first
+    ratio = br / bi
+    denom = br * ratio + bi
+    second = _Cx((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    if np.all(by_im):
+        return second
+    return _Cx(
+        np.where(by_re, first.re, np.where(by_im, second.re, np.nan)),
+        np.where(by_re, first.im, np.where(by_im, second.im, np.nan)),
+    )
+
+
+def _parts(o):
+    if isinstance(o, _Cx):
+        return o.re, o.im
+    if isinstance(o, complex):
+        return o.real, o.imag
+    return (float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=float)), 0.0
+
+
+class _Cx:
+    """A complex array as two float64 arrays, with CPython 3.11's complex
+    arithmetic: a real or int operand is complex(x, 0.0), products are
+    ar*br - ai*bi and ar*bi + ai*br (no FMA), division is `_quot`, abs is
+    hypot.  Both products and sums are commutative bit for bit in IEEE
+    arithmetic, so the reflected operators reuse the forward ones."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @classmethod
+    def full(cls, size: int, x: float) -> "_Cx":
+        return cls(np.full(size, x), np.zeros(size))
+
+    @classmethod
+    def of(cls, values) -> "_Cx":
+        a = np.array(values, dtype=complex)
+        return cls(a.real.copy(), a.imag.copy())
+
+    def __add__(self, o):
+        br, bi = _parts(o)
+        return _Cx(self.re + br, self.im + bi)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        br, bi = _parts(o)
+        return _Cx(self.re - br, self.im - bi)
+
+    def __rsub__(self, o):
+        ar, ai = _parts(o)
+        return _Cx(ar - self.re, ai - self.im)
+
+    def __mul__(self, o):
+        br, bi = _parts(o)
+        ar, ai = self.re, self.im
+        return _Cx(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return _quot(self.re, self.im, *_parts(o))
+
+    def __rtruediv__(self, o):
+        return _quot(*_parts(o), self.re, self.im)
+
+    def __neg__(self):
+        return _Cx(-self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def __getitem__(self, k):
+        return _Cx(self.re[k], self.im[k])
+
+    def __setitem__(self, k, v):
+        self.re[k], self.im[k] = _parts(v)
+
+    def conjugate(self):
+        return _Cx(self.re, -self.im)
+
+    def complex(self) -> np.ndarray:
+        out = np.empty(np.shape(self.re), dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+
+def _loop(step, ks, *state):
+    """A scalar loop with a data-dependent `break`, run element by element.
+
+    For k in ks, step(k, *state) returns the new state and a mask of the
+    elements whose loop breaks at this k; those elements keep that state
+    and take no further step.  Returns state[0] per element.
+    """
+    live = np.arange(state[0].re.size)
+    out = _Cx.full(live.size, np.nan)
+    for k in ks:
+        state, done = step(k, *state)
+        if done.any():
+            out[live[done]] = state[0][done]
+            keep = ~done
+            live, state = live[keep], [x[keep] for x in state]
+            if not live.size:
+                return out
+    out[live] = state[0]
+    return out
+
+
+def _at_least_one(x):
+    return np.where(x > 1.0, x, 1.0)  # max(1.0, x), which maps NaN to 1.0
+
+
+def _j_series_arr(orders, z: _Cx, logs) -> dict[int, _Cx]:
+    """`_j_series` at each order for every element of z (|z| <= 8)."""
+    nz = len(logs)
+
+    def step(k, total, term, q, m):
+        term = term * (q / (k * (m + k)))
+        total = total + term
+        return (total, term, q, m), abs(term) <= 1e-18 * abs(total)
+
+    q = -0.25 * z * z
+    q = _Cx(np.tile(q.re, len(orders)), np.tile(q.im, len(orders)))
+    one = _Cx.full(q.re.size, 1.0)
+    m = np.repeat(np.asarray(orders, dtype=float), nz)
+    total = _loop(step, range(1, 80), one, one, q, m)
+    res = {}
+    for i, n in enumerate(orders):
+        lg = math.lgamma(n + 1)
+        pref = _Cx.of([cmath.exp(n * x - lg) for x in logs])
+        res[n] = pref * total[i * nz:(i + 1) * nz]
+    return res
+
+
+def _y01_series_arr(z: _Cx, logs, j0: _Cx, j1: _Cx) -> tuple[_Cx, _Cx]:
+    """`_y01_series` for every element of z."""
+    h = h_k = 0.0
+    h_k1 = 1.0
+
+    def y0_step(k, s, t, q):
+        nonlocal h
+        t = t * (q / (k * k))
+        h += 1.0 / k
+        s = s + h * t
+        return (s, t, q), abs(t) <= 1e-18 * _at_least_one(abs(s))
+
+    def y1_step(k, s1, r, q):
+        nonlocal h_k, h_k1
+        r = r * (q / (k * (k + 1)))
+        h_k += 1.0 / k
+        h_k1 += 1.0 / (k + 1)
+        s1 = s1 + (h_k + h_k1) * r
+        return (s1, r, q), abs(r) <= 1e-18 * _at_least_one(abs(s1))
+
+    lg = _Cx.of([x + EULER_GAMMA for x in logs])
+    mq = -0.25 * z * z
+    size = len(logs)
+    s = _loop(y0_step, range(1, 80), _Cx.full(size, 0.0), _Cx.full(size, 1.0), mq)
+    y0 = (2.0 / math.pi) * (lg * j0 - s)
+    r = 0.5 * z
+    s1 = _loop(y1_step, range(1, 80), r * (h_k + h_k1), r, mq)
+    y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * z) - s1 / math.pi
+    return y0, y1
+
+
+def _cf2_direct_arr(z: _Cx) -> _Cx:
+    """`_cf2_direct` for every element of z."""
+    tiny = 1e-290
+
+    def step(k, f, c, d, z):
+        a = (k - 0.5) ** 2
+        b = 2.0 * (z + k * 1j)
+        d = _reset_zeros(b + a * d, tiny)
+        c = _reset_zeros(b + a / c, tiny)
+        d = 1.0 / d
+        delta = c * d
+        f = f * delta
+        return (f, c, d, z), abs(delta - 1.0) < 1e-16
+
+    # f and c start as the float tiny and d as 0j; a float x acts as
+    # complex(x, 0.0) in every operation it meets here
+    start, zero = _Cx.full(z.re.size, tiny), _Cx.full(z.re.size, 0.0)
+    f = _loop(step, range(1, _MAX_CF_ITER + 1), start, start, zero, z)
+    return -0.5 / z + 1j + (1j / z) * f
+
+
+def _reset_zeros(x: _Cx, tiny: float) -> _Cx:
+    """`if x == 0: x = tiny` of the Lentz loop, element by element."""
+    zero = (x.re == 0.0) & (x.im == 0.0)
+    if zero.any():
+        x.re[zero], x.im[zero] = tiny, 0.0
+    return x
+
+
+def _jh_top_arr(nmax: int, w: list[complex]) -> tuple[_Cx, _Cx, _Cx, _Cx]:
+    """`_jh_top` for arguments with Im w >= 0 and 0 < |w| <= 8."""
+    z = _Cx.of(w)
+    logs = [cmath.log(0.5 * x) for x in w]
+    j = _j_series_arr(list(dict.fromkeys((0, 1, nmax - 1, nmax))), z, logs)
+    jiy = z.im <= _JIY_IM_LIMIT
+    h = [_Cx.full(len(w), np.nan) for _ in range(2)]
+    for sel, series in ((np.flatnonzero(jiy), True), (np.flatnonzero(~jiy), False)):
+        if not sel.size:
+            continue
+        zs = z[sel]
+        j0, j1 = j[0][sel], j[1][sel]
+        if series:
+            y0, y1 = _y01_series_arr(zs, [logs[i] for i in sel], j0, j1)
+            ya, yb = _upward_top(nmax, zs, y0, y1)
+            lo = j[nmax - 1][sel] + 1j * ya
+            hi = j[nmax][sel] + 1j * yb
+        else:
+            r2 = _cf2_direct_arr(zs)
+            h0 = (2j / (math.pi * zs)) / (j0 * r2 + j1)
+            lo, hi = _upward_top(nmax, zs, h0, -r2 * h0)
+        h[0][sel], h[1][sel] = lo, hi
+    return j[nmax - 1], j[nmax], h[0], h[1]
+
+
+def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """J_n, J_n', H_n, H_n' at every argument of zs, as four complex arrays.
+
+    Entry i is bit for bit `cyl_pair(n, zs[i])` on a cold cache (the cache
+    is keyed by value, so a z with a -0.0 part can return the entry of its
+    +0.0 twin); a non-finite or zero argument raises that call's ValueError
+    for the whole batch.
+    """
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if z == 0 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            cyl_pair(n, z)  # raises the scalar path's error
+    m = abs(int(n))
+    lower = np.array([z.imag < 0.0 for z in zs], dtype=bool)
+    w = [z.conjugate() if z.imag < 0.0 else z for z in zs]
+    small = np.array([abs(x) <= _SERIES_RADIUS for x in w], dtype=bool)
+    out = [_Cx.full(len(zs), np.nan) for _ in range(4)]
+    sel = np.flatnonzero(small)
+    with np.errstate(all="ignore"):
+        if sel.size:
+            ws = [w[i] for i in sel]
+            # the tails of `_pair_upper` and `cyl_pair`, on arrays
+            j_lo, j_hi, h_lo, h_hi = _jh_top_arr(max(m, 1), ws)
+            if m == 0:
+                quad = [j_lo, -j_hi, h_lo, -h_hi]
+            else:
+                zw = _Cx.of(ws)
+                quad = [j_hi, j_lo - (m / zw) * j_hi, h_hi, h_lo - (m / zw) * h_hi]
+            low = lower[sel]
+            if low.any():
+                cj, cjp, ch, chp = (x[low] for x in quad)
+                jv = cj.conjugate()
+                jd = cjp.conjugate()
+                for x, v in zip(quad, (jv, jd, 2.0 * jv - ch.conjugate(),
+                                       2.0 * jd - chp.conjugate())):
+                    x[low] = v
+            for o, x in zip(out, quad):
+                o[sel] = x
+        for i in np.flatnonzero(~small):
+            p = cyl_pair(m, zs[i])
+            for o, v in zip(out, (p.j, p.jp, p.h, p.hp)):
+                o[i] = v
+        if n < 0 and m % 2 == 1:
+            out = [-o for o in out]
+    return tuple(o.complex() for o in out)

@@ -9,7 +9,7 @@ import pytest
 
 import block_reference as ref
 from elastodisk import potentials
-from elastodisk.calr import recipe_config
+from elastodisk.calr import recipe_config, shifted_shell
 from elastodisk.media import AnnulusGeometry, LameParams
 from elastodisk.potentials import (
     WaveKind,
@@ -117,3 +117,56 @@ def test_one_pair_lookup_per_distinct_argument(monkeypatch, radii, per_entry):
     layered_system((*shared, shells, P11), radii, 1.0, 5)
     assert len(looked_up) == per_entry * len(shells) + 2 * len(radii)
     assert len(wavenumbers) == len(shells) + len(radii)
+
+
+def array_batch(per_entry):
+    """Sweep shells enough for their distinct k r to take the array path."""
+    count = potentials._ARRAY_MIN_ARGS // per_entry + 1
+    return [P11.scaled(complex(-2.05 + 0.2 * k / count, 2.08e-9)) for k in range(count)]
+
+
+@pytest.mark.parametrize("radii, per_entry", [((1.0,), 2), ((0.8, 1.0), 4)])
+def test_one_array_call_above_the_crossover(monkeypatch, radii, per_entry):
+    # every distinct k r of the batched entries goes into one cyl_pairs
+    # call; the shared materials still look theirs up one by one
+    scalar, batches = [], []
+    cyl_pairs = potentials.cyl_pairs
+
+    def count_pairs(n, z):
+        scalar.append(z)
+        return ref.cyl_pair(n, z)
+
+    def count_arrays(n, zs):
+        batches.append(list(zs))
+        return cyl_pairs(n, zs)
+
+    monkeypatch.setattr(potentials, "cyl_pair", count_pairs)
+    monkeypatch.setattr(potentials, "cyl_pairs", count_arrays)
+    shells = array_batch(per_entry)
+    shared = (P11,) * (len(radii) - 1)
+    stack = layered_system((*shared, shells, P11), radii, 1.0, 5)
+    assert len(batches) == 1
+    (args,) = batches
+    assert len(args) == len(set(args)) == per_entry * len(shells)
+    assert len(args) >= potentials._ARRAY_MIN_ARGS
+    assert len(scalar) == 2 * len(radii)
+    for k, shell in enumerate(shells):
+        want = ref.layered_system((*shared, shell, P11), radii, 1.0, 5)
+        assert_same_bits(stack[k], want)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_array_path_systems_match_reference(n):
+    # above the crossover: the sweep's disk shells (series branch) and a
+    # CALR scan's shells (Im k r > 4, the continued-fraction branch)
+    shells = array_batch(2)
+    disk = layered_system((shells, P11), (1.0,), 1.0, n)
+    for k, shell in enumerate(shells):
+        assert_same_bits(disk[k], ref.layered_system((shell, P11), (1.0,), 1.0, n))
+    cfg = recipe_config(AnnulusGeometry(0.8, 1.0), P11, P11, 5.0, 25)
+    scan = [shifted_shell(cfg, p) for p in np.linspace(-0.16, 0.16, 30)]
+    core_shell = layered_system((P11, scan, P11), (0.8, 1.0), 5.0, n)
+    for k, shell in enumerate(scan):
+        assert_same_bits(
+            core_shell[k], ref.layered_system((P11, shell, P11), (0.8, 1.0), 5.0, n)
+        )

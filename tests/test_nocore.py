@@ -362,6 +362,37 @@ class TestSweep:
         assert "DegenerateMaterialError" in res.points[2].error
         self.assert_rows_match_point_solves(res, self.TWO_MODES, {0.0})
 
+    def test_failing_row_is_bisected_out(self, monkeypatch):
+        # one degenerate shell (c = 0) in 201: the halves around it stay
+        # batched, and every row, the error row too, is bit for bit the
+        # one-point sweep at that value
+        builds = []
+        real_layered = nocore.layered_system
+
+        def counted(materials, *args):
+            builds.append(len(materials[0]))
+            return real_layered(materials, *args)
+
+        monkeypatch.setattr(nocore, "layered_system", counted)
+        kw = dict(matrix=P11, omega=1.0, R=1.0, source=self.TWO_MODES, c_other=0.0)
+        res = sweep("re_c", -1.0, 1.0, 201, **kw)
+        # two builds per halving level plus one whole batch per source mode,
+        # against 1 + 201 + 1 for a row-by-row rerun
+        assert len(builds) <= 2 * math.ceil(math.log2(201)) + 2
+        monkeypatch.undo()
+        assert res.points[100].value == 0.0
+        for q in res.points:
+            (alone,) = sweep("re_c", q.value, q.value, 1, **kw).points
+            assert q.error == alone.error
+            assert q.c == alone.c
+            got = np.array([q.abs_psi11, q.energy, q.condition, q.residual])
+            want = np.array(
+                [alone.abs_psi11, alone.energy, alone.condition, alone.residual]
+            )
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert "DegenerateMaterialError" in res.points[100].error
+        assert sum(bool(q.error) for q in res.points) == 1
+
     def test_singular_system_leaves_the_other_rows_solved(self, monkeypatch):
         bad = P11.scaled(complex(-1.9, 0.0))
         real_layered = nocore.layered_system

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastodisk import specfun
-from elastodisk.specfun import CylPair, bessel_j, cyl_pair, hankel1
+from elastodisk import selfcheck, specfun
+from elastodisk.calr import recipe_config, shifted_shell
+from elastodisk.media import AnnulusGeometry, LameParams, wavenumbers
+from elastodisk.specfun import CylPair, bessel_j, cyl_pair, cyl_pairs, hankel1
 
 # 60-term ascending series at 50 digits, frozen (see mp_series_j below).
 J5_2_05J = complex(0.0034621099584312315, 0.0075258129009681530)
@@ -249,3 +251,94 @@ def test_pair_parity_property(n, re, im):
     sign = -1.0 if n % 2 else 1.0
     assert m.j == pytest.approx(sign * p.j, rel=1e-12, abs=1e-280)
     assert m.hp == pytest.approx(sign * p.hp, rel=1e-12, abs=1e-280)
+
+
+def branch_arguments(count, seed=7):
+    """Seeded arguments on every branch of `_jh_top` and its edges, both
+    half planes, the axes with either sign of zero, and some repeats."""
+    rng = np.random.default_rng(seed)
+    r = 10.0 ** rng.uniform(-2.0, 1.5, count)
+    z = list(r * np.exp(1j * rng.uniform(-math.pi / 2, math.pi, count)))
+    z += [complex(x, 4.0) for x in np.linspace(0.05, 6.9, 12)]  # Im z = 4
+    z += [complex(x, y) for x in (1.0, 6.5) for y in np.nextafter(4.0, (0.0, 9.0))]
+    z += list(8.0 * np.exp(1j * np.linspace(-1.5, 3.1, 12)))  # |z| = 8
+    z += [complex(x, s * 0.0) for x in (-7.0, 0.3, 5.0, 8.0) for s in (1.0, -1.0)]
+    z += [complex(s * 0.0, y) for y in (-3.0, 0.02, 6.0) for s in (1.0, -1.0)]
+    return [complex(w) for w in z] + [complex(w) for w in z[:9]]
+
+
+def workload_arguments():
+    """The shell arguments of a disk Re c sweep and of a CALR p scan."""
+    p11 = LameParams(1.0, 1.0)
+    disk = [wavenumbers(p11.scaled(complex(c, 2.08e-9)), 1.0)
+            for c in np.linspace(-2.05, -1.85, 60)]
+    cfg = recipe_config(AnnulusGeometry(0.8, 1.0), p11, p11, 5.0, 25)
+    calr = [wavenumbers(shifted_shell(cfg, p), 5.0)
+            for p in np.linspace(-0.16, 0.16, 40)]
+    return (
+        [k for wn in disk for k in (wn.ks, wn.kp)],
+        [k * x for wn in calr for x in (0.8, 1.0) for k in (wn.ks, wn.kp)],
+    )
+
+
+def cold_pair(n, z):
+    # the scalar cache is keyed by value, so z with -0.0 in a part would hit
+    # the entry of its +0.0 twin; the array path computes each z itself
+    specfun._pair_upper.cache_clear()
+    return cyl_pair(n, z)
+
+
+def assert_pairs_match_scalar(n, zs):
+    got = cyl_pairs(n, zs)
+    want = [cold_pair(n, z) for z in zs]
+    for k, name in enumerate(("j", "jp", "h", "hp")):
+        ref = np.array([getattr(p, name) for p in want], dtype=complex)
+        assert got[k].shape == ref.shape
+        assert np.array_equal(got[k].view(np.uint64), ref.view(np.uint64)), name
+
+
+class TestCylPairs:
+    """The array path against the scalar one, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 25, 60, 200, -3])
+    def test_branches_bit_for_bit(self, n):
+        assert_pairs_match_scalar(n, branch_arguments(400))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 95, 96, 97, 300])
+    def test_batch_sizes_bit_for_bit(self, size):
+        zs = branch_arguments(size, seed=size)[:size]
+        for n in (1, 5, -3):
+            assert_pairs_match_scalar(n, zs)
+
+    def test_workload_arguments_bit_for_bit(self):
+        disk, calr = workload_arguments()
+        assert any(z.imag > 4.0 for z in calr)  # the continued-fraction branch
+        assert_pairs_match_scalar(5, disk)
+        assert_pairs_match_scalar(25, calr)
+
+    def test_empty_batch(self):
+        assert all(a.shape == (0,) for a in cyl_pairs(3, []))
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(1.0, math.inf), 0j])
+    def test_bad_element_raises_the_scalar_error(self, bad):
+        zs = branch_arguments(50)
+        zs.insert(17, bad)
+        with pytest.raises(ValueError) as scalar:
+            cyl_pair(4, bad)
+        with pytest.raises(ValueError) as array:
+            cyl_pairs(4, zs)
+        assert str(array.value) == str(scalar.value)
+
+
+def test_selfcheck_counts_mismatched_entries(monkeypatch):
+    assert selfcheck.array_path_check().passed
+    cyl_pairs_ = selfcheck.cyl_pairs
+
+    def one_ulp_off(n, zs):
+        j, jp, h, hp = cyl_pairs_(n, zs)
+        j[0] = complex(np.nextafter(j[0].real, math.inf), j[0].imag)
+        return j, jp, h, hp
+
+    monkeypatch.setattr(selfcheck, "cyl_pairs", one_ulp_off)
+    result = selfcheck.array_path_check(orders=(0, 7))
+    assert result.worst == 2.0 and not result.passed
