@@ -14,7 +14,6 @@ from .calr import (  # noqa: F401
     TuningFailedError,
     Verdict,
     calr_energy,
-    critical_radius,
     recipe_config,
     tune_p,
 )
@@ -47,11 +46,9 @@ from .np_spectrum import (  # noqa: F401
     quasistatic_reference,
 )
 from .potentials import (  # noqa: F401
-    WaveKind,
     mode_matrix_boundary,
     scalar_slp_mode,
     traction_matrix,
     two_radius_coupling,
-    vector_slp_eval,
 )
 from .specfun import CylPair, bessel_j, cyl_pair, hankel1  # noqa: F401

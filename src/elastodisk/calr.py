@@ -104,20 +104,6 @@ def recipe_config(
     )
 
 
-def critical_radius(g: AnnulusGeometry) -> float:
-    """sqrt(r_outer**3 / r_inner): sources inside it trigger CALR."""
-    return g.critical_radius
-
-
-def assemble_calr_matrix(cfg: CoreShellConfig, n: int) -> np.ndarray:
-    """8x8 transmission system for mode n, densities (phi1..phi4).
-
-    Row blocks: displacement then traction on the core circle (zero data),
-    displacement then traction on the shell circle (incident data).
-    """
-    return layered_system(*cfg.layers, cfg.omega, n)
-
-
 def calr_rhs(cfg: CoreShellConfig, term: SourceTerm) -> np.ndarray:
     """(0, 0, f_n, ftilde_n) incident data on the shell circle."""
     pot = NewtonianPotential(
@@ -129,7 +115,8 @@ def calr_rhs(cfg: CoreShellConfig, term: SourceTerm) -> np.ndarray:
 
 def solve_calr_mode(cfg: CoreShellConfig, term: SourceTerm) -> ModeSolution:
     """Densities phi1..phi4 of one mode (rows of `phi`, as (nu, t) pairs)."""
-    return solve_mode(assemble_calr_matrix(cfg, term.n), calr_rhs(cfg, term), n=term.n)
+    system = layered_system(*cfg.layers, cfg.omega, term.n)
+    return solve_mode(system, calr_rhs(cfg, term), n=term.n)
 
 
 def shifted_shell(cfg: CoreShellConfig, p: complex) -> LameParams:
@@ -141,9 +128,8 @@ def shifted_shell(cfg: CoreShellConfig, p: complex) -> LameParams:
 def det_m(cfg: CoreShellConfig, p: complex, n: int | None = None) -> complex:
     """Determinant of the mode system with the shell modulus offset by p."""
     n = cfg.n0 if n is None else n
-    return complex(
-        np.linalg.det(assemble_calr_matrix(cfg.with_shell(shifted_shell(cfg, p)), n))
-    )
+    shifted = cfg.with_shell(shifted_shell(cfg, p))
+    return complex(np.linalg.det(layered_system(*shifted.layers, cfg.omega, n)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,6 @@ def tune_p(
     lo: float | None = None,
     hi: float | None = None,
     steps: int = 241,
-    complex_refine: bool = False,
     min_dip_ratio: float = 0.1,
 ) -> TuneResult:
     """Coarse |det M| scan over real p plus golden-section refinement.
@@ -169,8 +154,6 @@ def tune_p(
     not well below its median (ratio > min_dip_ratio) has no resonance dip
     and raises TuningFailedError; the real-axis dip depth scales with the
     loss delta, so low working modes need the threshold relaxed.
-    `complex_refine` switches to a 2D Nelder-Mead over complex p afterwards
-    for robustness studies.
 
     The scan is one batch: `layered_system` gets the scan's shells as one
     batched material, with the core and matrix blocks built once and
@@ -219,19 +202,6 @@ def tune_p(
     for x, fx in ((x1, f1), (x2, f2)):
         if fx < v_best:
             p_best, v_best = float(x), float(fx)
-
-    if complex_refine:
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda v: abs(det_m(cfg, complex(v[0], v[1]))),
-            [p_best, 0.0],
-            method="Nelder-Mead",
-            options={"xatol": 1e-15, "fatol": 0.0, "maxiter": 2000},
-        )
-        if res.fun < v_best:
-            p_best = complex(res.x[0], res.x[1])
-            v_best = float(res.fun)
 
     return TuneResult(
         p=p_best, abs_det=v_best, scan_p=ps, scan_abs_det=vals, dip_ratio=dip_ratio
@@ -293,7 +263,9 @@ def calr_energy(
     incident = replace(field, densities={})
     f_max = float(np.max(np.linalg.norm(incident.evaluate(ring), axis=1)))
     solved = {s.n: s.system for s in sols}  # reused when n0 is a source mode
-    system = solved[cfg.n0] if cfg.n0 in solved else assemble_calr_matrix(cfg, cfg.n0)
+    system = solved.get(cfg.n0)
+    if system is None:
+        system = layered_system(*cfg.layers, cfg.omega, cfg.n0)
     detval = complex(np.linalg.det(system))
     resonant = energy >= energy_threshold
     bounded = u_max <= bound_factor * f_max

@@ -106,5 +106,6 @@ class AnnulusGeometry:
 
     @property
     def critical_radius(self) -> float:
-        """sqrt(r_outer**3 / r_inner); always exceeds r_outer."""
+        """sqrt(r_outer**3 / r_inner): sources inside it trigger CALR; always
+        exceeds r_outer."""
         return math.sqrt(self.r_outer**3 / self.r_inner)

@@ -16,13 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from .media import LameParams, wavenumbers
-from .potentials import (
-    WaveKind,
-    layered_system,
-    region_energy,
-    wave_coeffs,
-    wave_traction_coeffs,
-)
+from .potentials import _trace_entries, _traction_entries, layered_system, region_energy
+from .specfun import bessel_j, cyl_pair
 
 CONDITION_NEAR_SINGULAR = 1e14
 
@@ -72,8 +67,6 @@ def _norm_constants(term: SourceTerm, p: LameParams, omega: float, R: float):
     Wave families with a zero kappa never touch their normalization, so a
     vanishing J_n for the unused family cannot poison the term.
     """
-    from .specfun import bessel_j
-
     wn = wavenumbers(p, omega)
     out = []
     for kap, k in ((term.kappa1, wn.ks), (term.kappa2, wn.kp)):
@@ -91,12 +84,6 @@ def _norm_constants(term: SourceTerm, p: LameParams, omega: float, R: float):
     return out[0], out[1], wn
 
 
-def _qp_sum(cs: complex, cp: complex, wn, n: int, coeffs_fn, *args) -> np.ndarray:
-    """cs * (Q_n pair) + cp * (P_n pair) of the interior wave fields."""
-    c = cs * coeffs_fn(WaveKind.Q_INTERIOR, n, wn.ks, *args)
-    return c + cp * coeffs_fn(WaveKind.P_INTERIOR, n, wn.kp, *args)
-
-
 @dataclass(frozen=True)
 class NewtonianPotential:
     """Incident field defined by its interior wave-basis expansion.
@@ -111,19 +98,35 @@ class NewtonianPotential:
     omega: float
     radius: float
 
+    def _waves(self, term: SourceTerm, r: float, traction: bool) -> np.ndarray:
+        """cs Q_n + cp P_n of the interior wave fields at radius r.
+
+        Row 0 holds the (nu, t) displacement entries, row 1 (with
+        `traction`) the traction entries; each family reads one `cyl_pair`.
+        """
+        cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
+        if r <= 0.0:
+            raise ValueError("evaluation radius must be positive")
+        n, sums = term.n, []
+        for shear, k, c in ((True, wn.ks, cs), (False, wn.kp, cp)):
+            z = k * r
+            pair = cyl_pair(n, z)
+            rows = [_trace_entries(shear, n, z, pair.j, pair.jp)]
+            if traction:
+                rows.append(
+                    _traction_entries(shear, n, k, r, z, pair.j, pair.jp, self.params)
+                )
+            sums.append(c * np.array(rows))
+        return sums[0] + sums[1]
+
     def coeffs(self, term: SourceTerm, r: float) -> np.ndarray:
         """(nu, t) displacement coefficient pair of one source mode at radius r."""
-        cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
-        return _qp_sum(cs, cp, wn, term.n, wave_coeffs, r)
+        return self._waves(term, r, traction=False)[0]
 
     def boundary_coeffs(self, term: SourceTerm) -> tuple[np.ndarray, np.ndarray]:
         """(f_n, ftilde_n): trace and traction coefficient pairs on the circle."""
-        cs, cp, wn = _norm_constants(term, self.params, self.omega, self.radius)
-        R = self.radius
-        return (
-            _qp_sum(cs, cp, wn, term.n, wave_coeffs, R),
-            _qp_sum(cs, cp, wn, term.n, wave_traction_coeffs, R, self.params),
-        )
+        trace, traction = self._waves(term, self.radius, traction=True)
+        return trace, traction
 
 
 def source_boundary_data(
@@ -132,13 +135,6 @@ def source_boundary_data(
     """Per-mode (f_n, ftilde_n) boundary data of the incident potential."""
     pot = NewtonianPotential(src, p_matrix, omega, R)
     return {term.n: pot.boundary_coeffs(term) for term in src.terms}
-
-
-def assemble_mode_system(
-    p_in: LameParams, p_out: LameParams, omega: float, R: float, n: int
-) -> np.ndarray:
-    """[[That1, -T1], [That2, -T2]] acting on (psi1, psi2)."""
-    return layered_system((p_in, p_out), (R,), omega, n)
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ def solve_modes(
     out = []
     for term in src.terms:
         f, ft = data[term.n]
-        system = assemble_mode_system(p_in, p_out, omega, R, term.n)
+        system = layered_system((p_in, p_out), (R,), omega, term.n)
         rhs = np.concatenate([f, ft])
         out.append(solve_mode(system, rhs, n=term.n))
     return out

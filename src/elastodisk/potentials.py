@@ -9,7 +9,8 @@ The vector single-layer potential is evaluated through its decomposition
 into shear/pressure wave basis fields (Q and P families) rather than the
 raw two-sideband Hankel expressions: fewer cancellations, and one code path
 serves field evaluation, boundary matrices and the two-radius couplings of
-the core-shell system alike.  `layered_system` assembles the transmission
+the core-shell system alike; the incident field of `nocore` is built from
+the same Q/P entry formulas.  `layered_system` assembles the transmission
 system of any number of concentric interfaces from these blocks, and
 `region_energy` reads a region's dissipation back off that system.
 
@@ -25,7 +26,6 @@ for any length or stride as long as the operand order is kept.
 """
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple, Sequence
 
@@ -44,29 +44,13 @@ _I2 = np.eye(2, dtype=complex)
 _ARRAY_MIN_ARGS = 96
 
 
-class WaveKind(enum.Enum):
-    """Shear (Q) and pressure (P) cylinder-wave families.
-
-    Interior kinds are entire (Bessel radial part), exterior kinds are
-    radiating (first-kind Hankel radial part).
-    """
-
-    Q_INTERIOR = "q_interior"
-    P_INTERIOR = "p_interior"
-    Q_EXTERIOR = "q_exterior"
-    P_EXTERIOR = "p_exterior"
-
-    @property
-    def is_interior(self) -> bool:
-        return self in (WaveKind.Q_INTERIOR, WaveKind.P_INTERIOR)
-
-    @property
-    def is_shear(self) -> bool:
-        return self in (WaveKind.Q_INTERIOR, WaveKind.Q_EXTERIOR)
-
-
 def _trace_entries(shear: bool, n: int, z: complex, f: complex, fp: complex):
-    """(nu, t) displacement entries of Q_n (shear) or P_n from f_n(z), f_n'(z)."""
+    """(nu, t) displacement entries of Q_n (shear) or P_n from f_n(z), f_n'(z).
+
+    Q_n = 2n f_n(kr)/(kr) e^{in t} nu + 2i f_n'(kr) e^{in t} t,
+    P_n = 2 f_n'(kr) e^{in t} nu + 2in f_n(kr)/(kr) e^{in t} t,
+    with f = J for entire (interior) fields and f = H for radiating ones.
+    """
     if shear:
         return 2.0 * n * f / z, 2j * fp
     return 2.0 * fp, 2j * n * f / z
@@ -76,7 +60,11 @@ def _traction_entries(
     shear: bool, n: int, k: complex, r: float, z: complex, f: complex, fp: complex,
     p: LameParams,
 ):
-    """(nu, t) traction entries of Q_n (shear) or P_n at r, z = k r."""
+    """(nu, t) traction entries of Q_n (shear) or P_n at r, z = k r.
+
+    The material enters through mu and through omega^2 r^2, recovered from
+    k and the Lame pair, so callers never pass an inconsistent frequency.
+    """
     mu = p.mu
     omega2 = (mu if shear else (p.lam + 2.0 * mu)) * k * k
     edge = 4.0 * n * mu * (z * fp - f) / (k * r * r)
@@ -93,50 +81,11 @@ def _radial(pair, entire: bool) -> tuple[complex, complex]:
     return (pair.j, pair.jp) if entire else (pair.h, pair.hp)
 
 
-def wave_coeffs(kind: WaveKind, n: int, k: complex, r: float) -> np.ndarray:
-    """(nu, t) displacement coefficients of Q_n or P_n at radius r.
-
-    Q_n = 2n f_n(kr)/(kr) e^{in t} nu + 2i f_n'(kr) e^{in t} t,
-    P_n = 2 f_n'(kr) e^{in t} nu + 2in f_n(kr)/(kr) e^{in t} t,
-    with f = J for interior kinds and f = H for exterior kinds.
-    """
-    if r <= 0.0:
-        raise ValueError("evaluation radius must be positive")
-    z = k * r
-    f, fp = _radial(cyl_pair(n, z), kind.is_interior)
-    return np.array(_trace_entries(kind.is_shear, n, z, f, fp))
-
-
-def wave_traction_coeffs(
-    kind: WaveKind, n: int, k: complex, r: float, p: LameParams
-) -> np.ndarray:
-    """(nu, t) coefficients of the traction of Q_n or P_n at radius r.
-
-    The material enters through mu and through omega^2 r^2 (recovered from
-    k and the Lame pair, so callers never pass an inconsistent frequency).
-    """
-    if r <= 0.0:
-        raise ValueError("evaluation radius must be positive")
-    z = k * r
-    f, fp = _radial(cyl_pair(n, z), kind.is_interior)
-    return np.array(_traction_entries(kind.is_shear, n, k, r, z, f, fp, p))
-
-
 def _radius(x) -> float:
     r = math.hypot(float(x[0]), float(x[1]))
     if r == 0.0:
         raise ValueError("fields are evaluated away from the origin")
     return r
-
-
-def polar_to_cartesian(c, n: int, x) -> np.ndarray:
-    """Map (nu, t) coefficients at x to the Cartesian displacement vector."""
-    theta = math.atan2(float(x[1]), float(x[0]))
-    phase = complex(math.cos(n * theta), math.sin(n * theta))
-    ct, st = math.cos(theta), math.sin(theta)
-    nu = np.array([ct, st])
-    t = np.array([-st, ct])
-    return phase * (c[0] * nu + c[1] * t)
 
 
 def scalar_slp_mode(k: complex, R: float, n: int, x) -> complex:
@@ -261,20 +210,6 @@ def slp_trace(
     return _slp_blocks(p, omega, n, [(src_radius, eval_radius, exterior, False)])[0, :2]
 
 
-def slp_traction_offboundary(
-    p: LameParams,
-    omega: float,
-    src_radius: float,
-    n: int,
-    eval_radius: float,
-) -> np.ndarray:
-    """Traction matrix of the SLP away from its own circle (no jump there)."""
-    if eval_radius == src_radius:
-        raise ValueError("use traction_matrix for the on-boundary limits")
-    link = (src_radius, eval_radius, eval_radius > src_radius, False)
-    return _slp_blocks(p, omega, n, [link])[0, 2:]
-
-
 def mode_matrix_boundary(p: LameParams, omega: float, R: float, n: int) -> np.ndarray:
     """Boundary trace of the vector SLP: the (alpha_1..alpha_4) mode matrix."""
     return slp_trace(p, omega, R, n, R, exterior=True)
@@ -292,32 +227,6 @@ def traction_matrix(
         raise ValueError(f"unknown side {side!r}")
     jump = side.startswith("interior")
     return _slp_blocks(p, omega, n, [(R, R, True, jump)])[0, 2:]
-
-
-def vector_slp_eval(
-    p: LameParams,
-    omega: float,
-    R: float,
-    n: int,
-    density: str,
-    x,
-    side: str | None = None,
-) -> np.ndarray:
-    """Displacement of the vector SLP with density e^{in theta} nu or t at x.
-
-    Points on the circle need `side` ("interior" or "exterior") only for
-    symmetry with the traction API; the displacement itself is continuous.
-    """
-    if density not in ("nu", "t"):
-        raise ValueError(f"density must be 'nu' or 't', got {density!r}")
-    r = _radius(x)
-    if side is None:
-        exterior = r >= R
-    else:
-        exterior = side in ("exterior", "exterior_limit")
-    m = slp_trace(p, omega, R, n, r, exterior=exterior)
-    col = m[:, 0] if density == "nu" else m[:, 1]
-    return polar_to_cartesian(col, n, x)
 
 
 class TwoRadiusBlocks(NamedTuple):

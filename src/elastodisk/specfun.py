@@ -83,10 +83,14 @@ class CylPair:
 
 
 def _checked(z) -> complex:
+    """z as a finite complex with any -0.0 part made +0.0, so the cache,
+    keyed by value, never hands one signed-zero twin the other's results."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite argument z={z!r}")
-    return z
+    if z.real and z.imag:
+        return z
+    return complex(z.real + 0.0, z.imag + 0.0)
 
 
 def _j_series(n: int, z: complex) -> complex:
@@ -273,7 +277,10 @@ def _pair_upper(n: int, z: complex) -> tuple[complex, complex, complex, complex]
 
 
 def cyl_pair(n: int, z) -> CylPair:
-    """J_n(z), H_n(z) and derivatives; negative orders via (-1)^n symmetry."""
+    """J_n(z), H_n(z) and derivatives; negative orders via (-1)^n symmetry.
+
+    A -0.0 part of z counts as +0.0.
+    """
     z = _checked(z)
     if z == 0:
         raise ValueError("Hankel functions are singular at z = 0")
@@ -292,21 +299,13 @@ def cyl_pair(n: int, z) -> CylPair:
 
 
 def bessel_j(n: int, z) -> complex:
-    """J_n(z) for integer n and finite complex z."""
+    """J_n(z) for integer n and finite complex z: `cyl_pair`'s J, and the
+    exact values at z = 0."""
     z = _checked(z)
-    m = abs(int(n))
-    if z == 0:
-        val = 1.0 + 0j if m == 0 else 0.0 + 0j
-    elif abs(z) <= _SERIES_RADIUS:
-        w = z if z.imag >= 0.0 else z.conjugate()
-        val = _j_series(m, w)
-        if z.imag < 0.0:
-            val = val.conjugate()
-    else:
-        val = cyl_pair(m, z).j
-    if n < 0 and m % 2 == 1:
-        val = -val
-    return val
+    if z != 0:
+        return cyl_pair(n, z).j
+    val = 1.0 + 0j if n == 0 else 0.0 + 0j
+    return -val if n < 0 and n % 2 == 1 else val
 
 
 def hankel1(n: int, z) -> complex:
@@ -554,15 +553,13 @@ def _jh_top_arr(nmax: int, w: list[complex]) -> tuple[_Cx, _Cx, _Cx, _Cx]:
 def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """J_n, J_n', H_n, H_n' at every argument of zs, as four complex arrays.
 
-    Entry i is bit for bit `cyl_pair(n, zs[i])` on a cold cache (the cache
-    is keyed by value, so a z with a -0.0 part can return the entry of its
-    +0.0 twin); a non-finite or zero argument raises that call's ValueError
-    for the whole batch.
+    Entry i is bit for bit `cyl_pair(n, zs[i])`, a -0.0 part of the
+    argument counting as +0.0 there too; a non-finite or zero argument
+    raises that call's ValueError for the whole batch.
     """
-    zs = [complex(z) for z in zs]
-    for z in zs:
-        if z == 0 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            cyl_pair(n, z)  # raises the scalar path's error
+    zs = [_checked(z) for z in zs]
+    if 0 in zs:
+        cyl_pair(n, 0j)  # raises the scalar path's error
     m = abs(int(n))
     lower = np.array([z.imag < 0.0 for z in zs], dtype=bool)
     w = [z.conjugate() if z.imag < 0.0 else z for z in zs]

@@ -1,11 +1,14 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and pointwise helpers for the test suite.
 
-Every oracle here is independent of the code path it checks: quadrature
+The oracles are independent of the code path they check: quadrature
 kernels are built on scipy's cylinder functions, tractions come from
 central differences of the displacement, and high-precision references
-use mpmath.  `incident_displacement` is the pointwise form of the incident
-potential, one point and one mode at a time, for checks that need it on
-both sides of a circle.
+use mpmath.  The helpers are library paths taken one point and one mode at
+a time, for checks that need them on both sides of a circle:
+`incident_displacement` (the incident potential), `slp_displacement` (the
+raw layer potential, over `slp_trace`) and `wave_entries` (one cylinder
+wave, from the entry formulas of the block kernel); `polar_to_cartesian`
+turns a mode's (nu, t) pair at a point into its Cartesian vector.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from elastodisk.potentials import polar_to_cartesian
+from elastodisk.potentials import _radial, _trace_entries, _traction_entries, slp_trace
+from elastodisk.specfun import cyl_pair
 
 
 def scipy_gamma(lam: complex, mu: complex, omega: float, d: np.ndarray) -> np.ndarray:
@@ -74,6 +78,40 @@ def quad_vector_converged(lam, mu, omega, R, n, density, x, tol=1e-10):
         prev = cur
         panels *= 2
     return prev
+
+
+def polar_to_cartesian(c, n: int, x) -> np.ndarray:
+    """Cartesian vector of the (nu, t) pair c of mode n at the point x."""
+    theta = math.atan2(float(x[1]), float(x[0]))
+    phase = complex(math.cos(n * theta), math.sin(n * theta))
+    ct, st = math.cos(theta), math.sin(theta)
+    return phase * (c[0] * np.array([ct, st]) + c[1] * np.array([-st, ct]))
+
+
+def slp_displacement(p, omega, R, n, density, x, exterior=None) -> np.ndarray:
+    """Displacement at x of the vector SLP with density e^{in theta} nu or t."""
+    m = slp_trace(p, omega, R, n, math.hypot(x[0], x[1]), exterior=exterior)
+    return polar_to_cartesian(m[:, ("nu", "t").index(density)], n, x)
+
+
+# The cylinder-wave kinds as (shear, interior), under the test ids they had
+# as members of the former WaveKind enum.
+KINDS = {
+    "WaveKind.Q_INTERIOR": (True, True),
+    "WaveKind.P_INTERIOR": (False, True),
+    "WaveKind.Q_EXTERIOR": (True, False),
+    "WaveKind.P_EXTERIOR": (False, False),
+}
+
+
+def wave_entries(shear, interior, n, k, r, p=None) -> np.ndarray:
+    """(nu, t) entries of Q_n (shear) or P_n at radius r: J radial part when
+    interior, H otherwise; the displacement, or the traction in material p."""
+    z = k * r
+    f, fp = _radial(cyl_pair(n, z), interior)
+    if p is None:
+        return np.array(_trace_entries(shear, n, z, f, fp))
+    return np.array(_traction_entries(shear, n, k, r, z, f, fp, p))
 
 
 def incident_displacement(pot, x) -> np.ndarray:

@@ -23,8 +23,13 @@ import time
 
 import numpy as np
 
-from conftest import quad_scalar, quad_vector_converged
-from elastodisk.calr import calr_energy, critical_radius, recipe_config, tune_p
+from conftest import (
+    polar_to_cartesian,
+    quad_scalar,
+    quad_vector_converged,
+    slp_displacement,
+)
+from elastodisk.calr import calr_energy, recipe_config, tune_p
 from elastodisk.media import AnnulusGeometry, LameParams
 from elastodisk.nocore import (
     SourceModes,
@@ -36,11 +41,9 @@ from elastodisk.nocore import (
 from elastodisk.np_spectrum import EigCase, NpModeMatrix, np_eigensystem, np_matrix
 from elastodisk.potentials import (
     mode_matrix_boundary,
-    polar_to_cartesian,
     scalar_slp_mode,
     traction_matrix,
     two_radius_coupling,
-    vector_slp_eval,
 )
 from elastodisk.specfun import cyl_pair
 
@@ -133,7 +136,7 @@ class TestCriterion2:
             th = rng.uniform(0, 2 * np.pi)
             x = (r * math.cos(th), r * math.sin(th))
             dens = "nu" if rng.random() < 0.5 else "t"
-            got = vector_slp_eval(LameParams(lam, mu), omega, R, n, dens, x)
+            got = slp_displacement(LameParams(lam, mu), omega, R, n, dens, x)
             ref = quad_vector_converged(lam, mu, omega, R, n, dens, x)
             worst_v = max(worst_v, float(np.max(np.abs(got - ref))))
         ok = worst_s < 1e-8 and worst_v < 1e-6
@@ -285,8 +288,8 @@ def _profile(omega: float, radii) -> dict:
     for r in radii:
         best = 0.0
         for th in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-            u = vector_slp_eval(P11, omega, 1.0, 5, "nu",
-                                (r * math.cos(th), r * math.sin(th)))
+            u = slp_displacement(P11, omega, 1.0, 5, "nu",
+                                 (r * math.cos(th), r * math.sin(th)))
             best = max(best, float(np.linalg.norm(u)))
         out[r] = best
     return out
@@ -351,7 +354,7 @@ class TestCriterion9:
         inside = calr_energy(cfg, SourceModes.single(25, 1.0, 0.0))
         inside_ok = (inside.energy >= 1e4
                      and inside.exterior_bound <= 10.0 * inside.reference_bound)
-        rstar = critical_radius(GEO)
+        rstar = GEO.critical_radius
         terms = tuple(SourceTerm(n, (1.0 / (rstar + 0.05)) ** n, 0.0)
                       for n in range(25, 36))
         out_full = calr_energy(cfg, SourceModes(terms))

@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 import block_reference as ref
+from conftest import KINDS, wave_entries
 from elastodisk import potentials
 from elastodisk.calr import recipe_config, shifted_shell
 from elastodisk.media import AnnulusGeometry, LameParams
+from elastodisk.nocore import (
+    NewtonianPotential,
+    NormalizationSingularError,
+    SourceModes,
+    SourceTerm,
+    _norm_constants,
+)
 from elastodisk.potentials import (
-    WaveKind,
     layered_system,
     mode_matrix_boundary,
     traction_matrix,
     two_radius_coupling,
-    wave_coeffs,
-    wave_traction_coeffs,
 )
 
 P11 = LameParams(1.0, 1.0)
@@ -65,17 +70,50 @@ def test_blocks_match_reference(name, n, omega):
 
 
 @pytest.mark.parametrize("n", ORDERS)
-@pytest.mark.parametrize("kind", list(WaveKind))
+@pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
 def test_wave_coefficients_match_reference(kind, n):
+    # the entry formulas the kernel and the incident field share
     for p in MATERIALS.values():
         wn = ref.wavenumbers(p, 5.0)
         for k in (wn.ks, wn.kp):
-            args = (kind.is_shear, kind.is_interior, n, k, 0.9)
-            assert_same_bits(wave_coeffs(kind, n, k, 0.9), ref.wave_coeffs(*args))
-            assert_same_bits(
-                wave_traction_coeffs(kind, n, k, 0.9, p),
-                ref.wave_traction_coeffs(*args, p),
-            )
+            args = (*kind, n, k, 0.9)
+            assert_same_bits(wave_entries(*args), ref.wave_coeffs(*args))
+            assert_same_bits(wave_entries(*args, p), ref.wave_traction_coeffs(*args, p))
+
+
+def source_term(n):
+    return SourceTerm(n, 0.7 + 0.2j, -0.3)
+
+
+def finite_normalizations():
+    """(material, n, omega) of the grid where the source normalization is
+    finite (n = 0 has no source term)."""
+    for name, p in MATERIALS.items():
+        for n in ORDERS[1:]:
+            for omega in OMEGAS:
+                try:
+                    _norm_constants(source_term(n), p, omega, 1.0)
+                except NormalizationSingularError:
+                    continue
+                yield name, n, omega
+
+
+@pytest.mark.parametrize("name, n, omega", list(finite_normalizations()))
+def test_incident_data_match_reference(name, n, omega):
+    # cs Q_n + cp P_n over the reference's interior wave coefficients
+    p, term = MATERIALS[name], source_term(n)
+    cs, cp, wn = _norm_constants(term, p, omega, 1.0)
+    pot = NewtonianPotential(SourceModes((term,)), p, omega, 1.0)
+    trace, traction = pot.boundary_coeffs(term)
+    for r in (0.6, 1.0, 1.7):
+        want = cs * ref.wave_coeffs(True, True, n, wn.ks, r)
+        want = want + cp * ref.wave_coeffs(False, True, n, wn.kp, r)
+        assert_same_bits(pot.coeffs(term, r), want)
+        if r == 1.0:
+            assert_same_bits(trace, want)
+    want = cs * ref.wave_traction_coeffs(True, True, n, wn.ks, 1.0, p)
+    want = want + cp * ref.wave_traction_coeffs(False, True, n, wn.kp, 1.0, p)
+    assert_same_bits(traction, want)
 
 
 @pytest.mark.parametrize("omega", OMEGAS)

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import incident_displacement
+from conftest import incident_displacement, polar_to_cartesian
 from elastodisk.calr import (
     CoreShellConfig,
     TuningFailedError,
     Verdict,
-    assemble_calr_matrix,
     calr_energy,
     calr_rhs,
-    critical_radius,
     det_m,
     recipe_config,
     shell_dissipation,
@@ -23,13 +21,7 @@ from elastodisk.calr import (
 )
 from elastodisk.fields import LayeredField
 from elastodisk.media import AnnulusGeometry, LameParams
-from elastodisk.nocore import (
-    NewtonianPotential,
-    SourceModes,
-    SourceTerm,
-    assemble_mode_system,
-    solve_mode,
-)
+from elastodisk.nocore import NewtonianPotential, SourceModes, SourceTerm, solve_mode
 from elastodisk.potentials import layered_system
 
 GEO = AnnulusGeometry(0.8, 1.0)
@@ -65,11 +57,10 @@ class TestAssembly:
         # zeroing the cross-circle couplings, the outer 4x4 corner is the
         # plain disk transmission system on the outer circle
         cfg = fig_config()
-        m = assemble_calr_matrix(cfg, 7)
-        m = m.copy()
+        m = layered_system(*cfg.layers, OMEGA, 7)
         m[4:8, 2:4] = 0.0
         corner = m[4:8, 4:8]
-        ref = assemble_mode_system(cfg.shell, cfg.matrix, OMEGA, GEO.r_outer, 7)
+        ref = layered_system((cfg.shell, cfg.matrix), (GEO.r_outer,), OMEGA, 7)
         assert np.max(np.abs(corner - ref)) == 0.0
 
     @pytest.mark.parametrize("n", [5, 25])
@@ -145,11 +136,6 @@ class TestTuning:
         tr = tune_p(cfg, steps=241)
         assert tr.scan_abs_det.tolist() == [abs(det_m(cfg, p)) for p in tr.scan_p]
 
-    def test_complex_refine_reaches_the_zero(self):
-        tr = tune_p(fig_config(), steps=121, complex_refine=True)
-        assert abs(tr.p.imag) > 0  # leaves the real axis
-        assert tr.abs_det < 1e-6 * np.median(tr.scan_abs_det)
-
 
 class TestEnergy:
     def test_inside_branch_blowup_with_bounded_exterior(self):
@@ -165,7 +151,7 @@ class TestEnergy:
 
     def test_outside_branch_energy_bounded(self):
         cfg = fig_config(p=P_TUNED[25])
-        rstar = critical_radius(GEO)
+        rstar = GEO.critical_radius
         terms = tuple(
             SourceTerm(n, (GEO.r_outer / (rstar + 0.05)) ** n, 0.0)
             for n in range(25, 36)
@@ -206,7 +192,8 @@ class TestEnergy:
         cfg = fig_config(p=P_TUNED[25])
         rep = calr_energy(cfg, SourceModes.single(n, 1.0, 0.0))
         assert built == builds
-        assert rep.det_m == complex(np.linalg.det(assemble_calr_matrix(cfg, N0)))
+        system = layered_system(*cfg.layers, OMEGA, N0)
+        assert rep.det_m == complex(np.linalg.det(system))
 
     def test_rejects_pressure_sources(self):
         with pytest.raises(ValueError):
@@ -242,7 +229,6 @@ class TestTransmission:
     def test_boundary_traces_at_64_angles(self):
         from elastodisk.potentials import (
             mode_matrix_boundary,
-            polar_to_cartesian,
             traction_matrix,
             two_radius_coupling,
         )
@@ -294,14 +280,14 @@ class TestTransmission:
 
 class TestCriticalRadius:
     def test_working_geometry(self):
-        assert critical_radius(GEO) == pytest.approx(1.1180, abs=5e-5)
+        assert GEO.critical_radius == pytest.approx(1.1180, abs=5e-5)
 
     def test_exact_value(self):
-        assert critical_radius(AnnulusGeometry(0.25, 1.0)) == pytest.approx(2.0)
+        assert AnnulusGeometry(0.25, 1.0).critical_radius == pytest.approx(2.0)
 
     def test_thin_shell(self):
         g = AnnulusGeometry(1.0 - 1e-8, 1.0)
-        assert critical_radius(g) == pytest.approx(1.0, abs=1e-7)
+        assert g.critical_radius == pytest.approx(1.0, abs=1e-7)
 
 
 def test_lossy_shell_blocks_against_quadrature():
@@ -309,7 +295,7 @@ def test_lossy_shell_blocks_against_quadrature():
     # loss and near-imaginary wavenumbers; its cross-circle blocks must
     # still match the kernel quadrature
     from conftest import quad_vector_converged
-    from elastodisk.potentials import polar_to_cartesian, two_radius_coupling
+    from elastodisk.potentials import two_radius_coupling
 
     mu_hat = complex(-0.5 + P_TUNED[25], 0.8**N0)
     shell = LameParams(mu_hat, mu_hat)
@@ -331,7 +317,7 @@ def test_lossy_shell_blocks_against_quadrature():
 
 def test_det_m_helper_consistency():
     cfg = fig_config()
-    direct = np.linalg.det(assemble_calr_matrix(fig_config(p=0.01), N0))
+    direct = np.linalg.det(layered_system(*fig_config(p=0.01).layers, OMEGA, N0))
     via_helper = det_m(cfg, 0.01)
     assert via_helper == pytest.approx(direct, rel=1e-12)
 

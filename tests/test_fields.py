@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_lame_residual, incident_displacement
+from conftest import fd_lame_residual, incident_displacement, polar_to_cartesian
 from elastodisk.calr import CoreShellConfig, recipe_config, solve_calr_mode
 from elastodisk.fields import (
     INTERFACE_TAG,
@@ -20,7 +20,7 @@ from elastodisk.nocore import (
     SourceTerm,
     solve_modes,
 )
-from elastodisk.potentials import polar_to_cartesian, slp_trace, vector_slp_eval
+from elastodisk.potentials import slp_trace
 
 P11 = LameParams(1.0, 1.0)
 
@@ -170,9 +170,9 @@ class TestLayeredFieldOracle:
         pts = polar_grid(
             np.linspace(0.05, stop, steps), 2.0 * math.pi * np.arange(64) / 64
         )
-        values = slp_field(P11, omega, 1.0, 5, density).evaluate(pts)
-        refs = [vector_slp_eval(P11, omega, 1.0, 5, density, x) for x in pts]
-        assert_rows_match(values, refs)
+        field = slp_field(P11, omega, 1.0, 5, density)
+        refs = [pointwise_reference(field, x) for x in pts]
+        assert_rows_match(field.evaluate(pts), refs)
 
     def test_lossy_disk_two_modes(self):
         src = SourceModes((SourceTerm(3, 1.0, 0.2), SourceTerm(5, 0.5j, 0.0)))

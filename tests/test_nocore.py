@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_traction, incident_displacement
+from conftest import fd_traction, incident_displacement, polar_to_cartesian
 from elastodisk import nocore
 from elastodisk.media import LameParams
 from elastodisk.nocore import (
@@ -13,18 +13,13 @@ from elastodisk.nocore import (
     NormalizationSingularError,
     SourceModes,
     SourceTerm,
-    assemble_mode_system,
     dissipation_energy,
     solve_mode,
     solve_modes,
     source_boundary_data,
     sweep,
 )
-from elastodisk.potentials import (
-    mode_matrix_boundary,
-    polar_to_cartesian,
-    traction_matrix,
-)
+from elastodisk.potentials import layered_system, mode_matrix_boundary, traction_matrix
 
 P11 = LameParams(1.0, 1.0)
 
@@ -149,6 +144,13 @@ class TestSourceData:
         with pytest.raises(ValueError):
             SourceTerm(0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_rejects_nonpositive_radius(self, r):
+        src = SourceModes.single(5, 1.0, 0.3)
+        pot = NewtonianPotential(src, P11, 1.0, 1.0)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            pot.coeffs(src.terms[0], r)
+
     def test_normalization_singularity_flagged(self):
         # an exact float zero of J_n(kR) occurs at extreme orders through
         # underflow; the guard must flag it instead of dividing
@@ -183,7 +185,7 @@ class TestModeSystem:
         for _ in range(10):
             c = complex(rng.uniform(-3, 3), rng.uniform(0, 0.5))
             omega = float(rng.uniform(0.5, 2.0))
-            m = assemble_mode_system(P11.scaled(c), P11, omega, 1.0, 5)
+            m = layered_system((P11.scaled(c), P11), (1.0,), omega, 5)
             d = corrected_denominator(P11.scaled(c), P11, omega, 1.0, 5)
             assert np.linalg.det(m) == pytest.approx(d, rel=1e-10)
 
@@ -421,7 +423,7 @@ class TestSweep:
         assert all("NormalizationSingularError" in q.error for q in res.points)
 
     def test_stacked_solve_matches_single_solves(self):
-        systems = [assemble_mode_system(P11.scaled(c), P11, 1.0, 1.0, 5)
+        systems = [layered_system((P11.scaled(c), P11), (1.0,), 1.0, 5)
                    for c in (-1.9, -1.96 + 1e-9j, 0.5)]
         rhs = np.arange(1.0, 5.0) * (1.0 - 0.5j)
         # the whole stack, and the one-row stacks of the per-row fallback

@@ -7,29 +7,33 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from conftest import fd_lame_residual, fd_traction, quad_scalar, quad_vector_converged
+from conftest import (
+    KINDS,
+    fd_lame_residual,
+    fd_traction,
+    polar_to_cartesian,
+    quad_scalar,
+    quad_vector_converged,
+    slp_displacement,
+    wave_entries,
+)
 from elastodisk.media import LameParams, wavenumbers
 from elastodisk.potentials import (
-    WaveKind,
     layered_system,
     mode_matrix_boundary,
-    polar_to_cartesian,
     scalar_slp_mode,
     slp_trace,
     traction_matrix,
     two_radius_coupling,
-    vector_slp_eval,
-    wave_coeffs,
-    wave_traction_coeffs,
 )
 
 P11 = LameParams(1.0, 1.0)
 
 
-def wave_field(kind: WaveKind, n: int, k: complex):
+def wave_field(shear: bool, interior: bool, n: int, k: complex):
     """Pointwise displacement of the single cylinder wave Q_n or P_n."""
     return lambda x: polar_to_cartesian(
-        wave_coeffs(kind, n, k, math.hypot(x[0], x[1])), n, x
+        wave_entries(shear, interior, n, k, math.hypot(x[0], x[1])), n, x
     )
 
 
@@ -86,12 +90,12 @@ class TestVectorSlp:
         th = 0.3
         x = (math.cos(th), math.sin(th))
         for col, dens in ((0, "nu"), (1, "t")):
-            u = vector_slp_eval(P11, 1.0, 1.0, 5, dens, x, side="exterior")
+            u = slp_displacement(P11, 1.0, 1.0, 5, dens, x, exterior=True)
             pred = polar_to_cartesian(m[:, col], 5, x)
             assert np.max(np.abs(u - pred)) < 1e-10 * np.max(np.abs(u))
 
     def test_kernel_quadrature_nu(self):
-        got = vector_slp_eval(P11, 1.0, 1.0, 5, "nu", (1.7, 0.4))
+        got = slp_displacement(P11, 1.0, 1.0, 5, "nu", (1.7, 0.4))
         ref = quad_vector_converged(1.0, 1.0, 1.0, 1.0, 5, "nu", (1.7, 0.4))
         assert np.max(np.abs(got - ref)) < 1e-6
 
@@ -100,8 +104,8 @@ class TestVectorSlp:
         x_out = (1.0 + 1e-11, 0.4)
         r_in = math.hypot(*x_in) / math.hypot(*x_out)
         for dens in ("nu", "t"):
-            ui = vector_slp_eval(P11, 1.0, 1.0, 5, dens, x_in)
-            uo = vector_slp_eval(P11, 1.0, 1.0, 5, dens, x_out)
+            ui = slp_displacement(P11, 1.0, 1.0, 5, dens, x_in)
+            uo = slp_displacement(P11, 1.0, 1.0, 5, dens, x_out)
             assert np.max(np.abs(ui - uo)) < 1e-9 * max(1e-12, np.max(np.abs(uo)))
 
     def test_quadrature_random_configs(self, rng):
@@ -115,7 +119,7 @@ class TestVectorSlp:
             th = rng.uniform(0, 2 * np.pi)
             x = (r * math.cos(th), r * math.sin(th))
             dens = "nu" if rng.random() < 0.5 else "t"
-            got = vector_slp_eval(LameParams(lam, mu), omega, R, n, dens, x)
+            got = slp_displacement(LameParams(lam, mu), omega, R, n, dens, x)
             ref = quad_vector_converged(lam, mu, omega, R, n, dens, x)
             assert np.max(np.abs(got - ref)) < 1e-6
 
@@ -152,7 +156,7 @@ class TestVectorSlp:
             * (((kp * R) ** 2 - n**2 - n) * J(n + 1, kp * R) - n * kp * R * Jp(n + 1, kp * R))
         )
         ref = lo * np.array([1.0, 1j]) + hi * np.array([1.0, -1j])
-        got = vector_slp_eval(p, omega, R, n, "nu", x)
+        got = slp_displacement(p, omega, R, n, "nu", x)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -178,7 +182,7 @@ class TestTraction:
         th = 0.61
         x0 = (R * math.cos(th), R * math.sin(th))
         for col, dens in ((0, "nu"), (1, "t")):
-            disp = lambda x: vector_slp_eval(P11, omega, R, n, dens, x)
+            disp = lambda x: slp_displacement(P11, omega, R, n, dens, x)
             t_out = fd_traction(disp, 1.0, 1.0, R * (1 + 1e-5), th, h=1e-7)
             t_in = fd_traction(disp, 1.0, 1.0, R * (1 - 1e-5), th, h=1e-7)
             assert np.max(np.abs(t_out - polar_to_cartesian(ge[:, col], n, x0))) < 1e-4
@@ -226,41 +230,43 @@ class TestTraction:
 class TestQpTraction:
     def test_zero_mode(self):
         wn = wavenumbers(P11, 1.0)
-        g1, _ = wave_traction_coeffs(WaveKind.Q_INTERIOR, 0, wn.ks, 1.0, P11)
-        _, g4 = wave_traction_coeffs(WaveKind.P_INTERIOR, 0, wn.kp, 1.0, P11)
+        g1, _ = wave_entries(True, True, 0, wn.ks, 1.0, P11)
+        _, g4 = wave_entries(False, True, 0, wn.kp, 1.0, P11)
         assert g1 == 0 and g4 == 0
 
     def test_fd_oracle(self):
         omega, R, n = 1.0, 1.0, 5
         wn = wavenumbers(P11, omega)
-        for kind, k in ((WaveKind.Q_INTERIOR, wn.ks), (WaveKind.P_INTERIOR, wn.kp)):
+        for shear, k in ((True, wn.ks), (False, wn.kp)):
             th = 0.37
-            got = wave_traction_coeffs(kind, n, k, R, P11)
+            got = wave_entries(shear, True, n, k, R, P11)
             pred = polar_to_cartesian(got, n, (R * math.cos(th), R * math.sin(th)))
-            ref = fd_traction(wave_field(kind, n, k), 1.0, 1.0, R, th, h=1e-6)
+            ref = fd_traction(wave_field(shear, True, n, k), 1.0, 1.0, R, th, h=1e-6)
             assert np.max(np.abs(pred - ref)) < 1e-6
 
 
 class TestWaveBasis:
-    @pytest.mark.parametrize("kind", list(WaveKind))
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
     def test_lame_solution(self, kind):
+        shear, interior = kind
         wn = wavenumbers(P11, 1.0)
-        k = wn.ks if kind.is_shear else wn.kp
-        f = wave_field(kind, 4, k)
-        r = 0.6 if kind.is_interior else 1.7
+        k = wn.ks if shear else wn.kp
+        f = wave_field(shear, interior, 4, k)
+        r = 0.6 if interior else 1.7
         x = (r * math.cos(0.9), r * math.sin(0.9))
         res = fd_lame_residual(f, 1.0, 1.0, 1.0, x, h=1e-3)
         scale = float(np.max(np.abs(f(x))))
         assert res < 1e-4 * (scale + 1.0)
 
-    @pytest.mark.parametrize("kind", list(WaveKind))
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
     def test_divergence_curl_split(self, kind):
         # exterior kinds are probed farther out so the h^2 stencil error of
         # the (n/r)^3-sized third derivative stays under the 1e-5 bound
+        shear, interior = kind
         wn = wavenumbers(P11, 1.0)
-        k = wn.ks if kind.is_shear else wn.kp
-        f = wave_field(kind, 4, k)
-        r = 0.6 if kind.is_interior else 3.0
+        k = wn.ks if shear else wn.kp
+        f = wave_field(shear, interior, 4, k)
+        r = 0.6 if interior else 3.0
         x = np.array([r * math.cos(0.4), r * math.sin(0.4)])
         h = 1e-3
         ex, ey = np.array([h, 0]), np.array([0, h])
@@ -269,7 +275,7 @@ class TestWaveBasis:
         div = abs(dux[0] + duy[1])
         curl = abs(dux[1] - duy[0])
         scale = float(np.max(np.abs(f(x)))) + 1e-30
-        if kind.is_shear:
+        if shear:
             assert div < 1e-5 * scale and curl > 1e-2 * scale
         else:
             assert curl < 1e-5 * scale and div > 1e-2 * scale
@@ -277,15 +283,15 @@ class TestWaveBasis:
     def test_radiation_decay(self):
         # outgoing kinds with real k: amplitude * sqrt(r) stays bounded
         wn = wavenumbers(P11, 1.0)
-        for kind, k in ((WaveKind.Q_EXTERIOR, wn.ks), (WaveKind.P_EXTERIOR, wn.kp)):
-            f = wave_field(kind, 3, k)
+        for shear, k in ((True, wn.ks), (False, wn.kp)):
+            f = wave_field(shear, False, 3, k)
             vals = []
             for r in np.linspace(2.0, 100.0, 25):
                 vals.append(float(np.linalg.norm(f((r, 0.0)))) * math.sqrt(r))
             assert max(vals) < 3.0 * vals[0]
 
     def test_slp_field_pde_residual(self):
-        disp = lambda x: vector_slp_eval(P11, 1.0, 1.0, 3, "t", x)
+        disp = lambda x: slp_displacement(P11, 1.0, 1.0, 3, "t", x)
         for x in ((0.5, 0.2), (1.6, -0.9)):
             scale = float(np.max(np.abs(disp(x))))
             assert fd_lame_residual(disp, 1.0, 1.0, 1.0, x) < 1e-4 * (scale + 1.0)
@@ -324,7 +330,7 @@ class TestTwoRadius:
         th = 0.3
         for (src, ev, mat) in ((re, ri, b.traction_inner), (ri, re, b.traction_outer)):
             for col, dens in ((0, "nu"), (1, "t")):
-                disp = lambda x: vector_slp_eval(p, omega, src, n, dens, x)
+                disp = lambda x: slp_displacement(p, omega, src, n, dens, x)
                 ref = fd_traction(disp, lam, mu, ev, th, h=1e-6)
                 x0 = (ev * math.cos(th), ev * math.sin(th))
                 pred = polar_to_cartesian(mat[:, col], n, x0)

@@ -78,6 +78,54 @@ class TestBesselJ:
             bessel_j(2, complex("nan"))
 
 
+def bits(*values):
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+def former_series_j(n, z):
+    """The ascending series that `bessel_j` once ran itself for |z| <= 8,
+    conjugated into the lower half plane."""
+    m = abs(n)
+    val = specfun._j_series(m, z if z.imag >= 0.0 else z.conjugate())
+    if z.imag < 0.0:
+        val = val.conjugate()
+    return -val if n < 0 and m % 2 == 1 else val
+
+
+def test_bessel_j_is_the_pair_value_bit_for_bit():
+    # both half planes and |z| on both sides of 8, at negative odd orders too
+    zs = [r * cmath.exp(1j * a) for r in (1e-3, 0.4, 3.0, 7.9, 8.0, 8.1, 13.0, 40.0)
+          for a in np.linspace(-3.1, 3.1, 15)]
+    for n in (-199, -25, -7, -4, -1, 0, 1, 6, 25, 200):
+        for z in zs:
+            got = bessel_j(n, z)
+            assert bits(got) == bits(cyl_pair(n, z).j), (n, z)
+            if abs(z) <= 8.0:
+                assert bits(got) == bits(former_series_j(n, z)), (n, z)
+
+
+class TestSignedZeros:
+    """A -0.0 part of the argument reads as +0.0, whatever the cache holds."""
+
+    def test_cache_order_does_not_matter(self):
+        minus, plus = complex(-7.0, -0.0), complex(-7.0, 0.0)
+        specfun._pair_upper.cache_clear()
+        cold = cyl_pair(200, minus)
+        specfun._pair_upper.cache_clear()
+        cyl_pair(200, plus)
+        warm = cyl_pair(200, minus)
+        assert bits(cold.j, cold.jp, cold.h, cold.hp) == bits(
+            warm.j, warm.jp, warm.h, warm.hp
+        )
+
+    def test_array_path_reads_plus_zero(self):
+        zs = [complex(-7.0, -0.0), complex(-0.0, 3.0), complex(-0.0, -3.0)]
+        got = cyl_pairs(200, zs)
+        twins = cyl_pairs(200, [complex(z.real + 0.0, z.imag + 0.0) for z in zs])
+        for a, b in zip(got, twins):
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+
 class TestHankel1:
     def test_small_argument_leading_term(self):
         # H_n(t) ~ -i 2^n (n-1)!/(pi t^n) (1 + t^2/(4(n-1))) for small t;
@@ -281,16 +329,9 @@ def workload_arguments():
     )
 
 
-def cold_pair(n, z):
-    # the scalar cache is keyed by value, so z with -0.0 in a part would hit
-    # the entry of its +0.0 twin; the array path computes each z itself
-    specfun._pair_upper.cache_clear()
-    return cyl_pair(n, z)
-
-
 def assert_pairs_match_scalar(n, zs):
     got = cyl_pairs(n, zs)
-    want = [cold_pair(n, z) for z in zs]
+    want = [cyl_pair(n, z) for z in zs]
     for k, name in enumerate(("j", "jp", "h", "hp")):
         ref = np.array([getattr(p, name) for p in want], dtype=complex)
         assert got[k].shape == ref.shape
