@@ -33,7 +33,6 @@ from .nocore import (  # noqa: F401
     NormalizationSingularError,
     SourceModes,
     SourceTerm,
-    dissipation_energy,
     solve_modes,
     sweep,
 )
@@ -45,10 +44,5 @@ from .np_spectrum import (  # noqa: F401
     np_matrix,
     quasistatic_reference,
 )
-from .potentials import (  # noqa: F401
-    mode_matrix_boundary,
-    scalar_slp_mode,
-    traction_matrix,
-    two_radius_coupling,
-)
-from .specfun import CylPair, bessel_j, cyl_pair, hankel1  # noqa: F401
+from .potentials import scalar_slp_mode, traction_matrix  # noqa: F401
+from .specfun import CylPair, bessel_j, cyl_pair  # noqa: F401

@@ -158,8 +158,8 @@ def tune_p(
     The scan is one batch: `layered_system` gets the scan's shells as one
     batched material, with the core and matrix blocks built once and
     shared, and one `np.linalg.det` runs over the (steps, 8, 8) stack; each
-    |det| is bit for bit `abs(det_m(cfg, p))`.  The refinement calls
-    `det_m` point by point.
+    |det| is `abs(det_m(cfg, p))` up to the rounding of the array
+    special-function path.  The refinement calls `det_m` point by point.
     """
     n0 = cfg.n0
     if lo is None:
@@ -172,8 +172,7 @@ def tune_p(
     (core, _, matrix), radii = cfg.layers
     shells = [shifted_shell(cfg, p) for p in ps]
     stack = layered_system((core, shells, matrix), radii, cfg.omega, n0)
-    # Python's abs, as det_m's callers take it: np.abs differs in the last bit
-    vals = np.array([abs(complex(d)) for d in np.linalg.det(stack)])
+    vals = np.abs(np.linalg.det(stack))
     imin = int(np.argmin(vals))
     dip_ratio = float(vals[imin] / np.median(vals))
     if dip_ratio > min_dip_ratio:

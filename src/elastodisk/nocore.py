@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -206,18 +205,6 @@ def solve_modes(
     return out
 
 
-def dissipation_energy(solutions: Iterable[ModeSolution], R: float) -> float:
-    """Im of the interior boundary form of the disk, summed over modes.
-
-    Each mode contributes 2 pi R Im <traction, conj(trace)> with both
-    factors taken from the interior columns of its solved system.
-    """
-    total = 0.0
-    for sol in solutions:
-        total += region_energy(sol.system, sol.phi, (R,), 0)
-    return total
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     value: float
@@ -302,9 +289,9 @@ def _solve_stack(stack: np.ndarray, rhs: np.ndarray):
 def _solve_term(shells, matrix, omega, R, term, rhs, ids, errors):
     """One source mode at the rows `ids`: (rows kept, per-row diagnostics).
 
-    The diagnostics of a row are its region-0 energy, |psi11|, condition
-    and residual, each computed as `dissipation_energy` and `solve_mode`
-    compute it for that row alone.
+    The diagnostics of a row are its region-0 energy (`region_energy` of
+    the disk), |psi11|, condition and residual, the last three computed as
+    `solve_mode` computes them for that row alone.
     """
     batch = shells[ids]
     ids, built = _batched(
@@ -329,9 +316,9 @@ def _solve_term(shells, matrix, omega, R, term, rhs, ids, errors):
 
 def _sweep_point(v: float, c: complex, diags: list, error: str) -> SweepPoint:
     """The row of one sweep point from its per-mode diagnostics, in mode
-    order: the energy summed from 0.0 as `dissipation_energy` sums it, the
-    rest their maxima over the modes.  A point with no modes, or with an
-    error, is an error row."""
+    order: the energy summed from 0.0 over the modes, the rest their
+    maxima over the modes.  A point with no modes, or with an error, is an
+    error row."""
     nan = math.nan
     if not error:
         try:
@@ -376,8 +363,11 @@ def sweep(
     only the failing points become error rows, with the error of their
     first failing source mode.
     A failure of the source data marks every row, and so does an empty
-    `source`.  Every row is bit for bit the result of `solve_modes` and
-    `dissipation_energy` at that point alone.
+    `source`.  Every row is the result of `solve_modes` at that point
+    alone, its energy the modes' disk `region_energy` summed from 0.0: bit
+    for bit when its batch took the scalar special-function path (see
+    `potentials._lookup`), within the two paths' agreement otherwise, and
+    on the array path with the same bits whatever else the batch holds.
     """
     if axis not in ("re_c", "im_c"):
         raise ValueError(f"axis must be 're_c' or 'im_c', got {axis!r}")

@@ -16,32 +16,32 @@ system of any number of concentric interfaces from these blocks, and
 
 Every block comes from one kernel, `_slp_blocks`, in two stages: a scalar
 stage per material (wavenumbers, weights and entries in Python complex
-arithmetic, the cylinder values of a large batch from one `cyl_pairs` call,
-which replays that arithmetic on float arrays) and an array stage over the
-whole batch (the weighted sums and the traction jump in numpy).  Each step
-stays in the stage it ran in before the batch axis existed: on an AVX-512
-CPU numpy's complex multiply and divide (FMA) differ from Python's in the
-last bit for about 43% of random operands, while numpy agrees with itself
-for any length or stride as long as the operand order is kept.
+arithmetic, the cylinder values of a large batch from one `cyl_pairs` call)
+and an array stage over the whole batch (the weighted sums and the traction
+jump in numpy).  Every step works entry by entry, so a system's bits depend
+on its own entries and on which special-function path its batch took, never
+on the other systems of the batch; numpy agrees with itself for any length
+or stride as long as the operand order is kept.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .media import LameParams, wavenumbers
-from .specfun import cyl_pair, cyl_pairs
+from .specfun import CylPair, cyl_pair, cyl_pairs
 
 _I2 = np.eye(2, dtype=complex)
 # Distinct arguments from which one `cyl_pairs` call beats scalar `cyl_pair`
-# misses.  Timed on a 2-CPU AVX-512 host, cold cache, best of 7: at order 5
-# with sweep-shell arguments (series branch) the array pass takes 2.0 ms
-# against 2.2 ms at 80 arguments; at order 25 with Im z ~ 6 (continued-
-# fraction branch) 3.8 ms either way at 96, 4.0 against 4.6 ms at 112.
-# 4000 sweep-shell arguments take 24 ms against 109 ms.
-_ARRAY_MIN_ARGS = 96
+# misses.  Timed on a 2-CPU AVX-512 host, cold cache, best of 15: at order 5
+# with sweep-shell arguments (series branch) the array pass takes 0.7 ms
+# from 16 to 32 arguments against 0.66 ms scalar at 16 and 1.3 ms at 32; at
+# order 25 with CALR-scan arguments (both branches) 1.9 against 1.5 ms at
+# 24, 2.1 against 1.9 ms at 32 and 2.3 against 2.2 ms at 48.  4002
+# sweep-shell arguments take 11 ms in one pass.
+_ARRAY_MIN_ARGS = 32
 
 
 def _trace_entries(shear: bool, n: int, z: complex, f: complex, fp: complex):
@@ -103,27 +103,20 @@ def scalar_slp_mode(k: complex, R: float, n: int, x) -> complex:
     )
 
 
-class _Pair(NamedTuple):
-    """The fields of a `CylPair` that `_radial` reads, for the array path."""
-
-    j: complex
-    jp: complex
-    h: complex
-    hp: complex
-
-
 def _lookup(n: int, args):
     """A `cyl_pair`-like lookup (n, z) -> pair for every z in args.
 
     From `_ARRAY_MIN_ARGS` distinct arguments up, one `cyl_pairs` call
-    computes them all (bit for bit the scalar values); below that the
-    cached scalar `cyl_pair` is the lookup.
+    computes them all (the scalar values to rounding, each with the same
+    bits in any batch); below that the cached scalar `cyl_pair` is the
+    lookup.  The choice rests on the batch alone, so a B = 1 caller always
+    gets the scalar values.
     """
     args = list(dict.fromkeys(args))
     if len(args) < _ARRAY_MIN_ARGS:
         return cyl_pair
     values = (a.tolist() for a in cyl_pairs(n, args))
-    pairs = dict(zip(args, map(_Pair, *values)))
+    pairs = dict(zip(args, map(CylPair, *values)))
     return lambda n, z: pairs[z]
 
 
@@ -210,11 +203,6 @@ def slp_trace(
     return _slp_blocks(p, omega, n, [(src_radius, eval_radius, exterior, False)])[0, :2]
 
 
-def mode_matrix_boundary(p: LameParams, omega: float, R: float, n: int) -> np.ndarray:
-    """Boundary trace of the vector SLP: the (alpha_1..alpha_4) mode matrix."""
-    return slp_trace(p, omega, R, n, R, exterior=True)
-
-
 def traction_matrix(
     p: LameParams, omega: float, R: float, n: int, side: str = "exterior_limit"
 ) -> np.ndarray:
@@ -227,30 +215,6 @@ def traction_matrix(
         raise ValueError(f"unknown side {side!r}")
     jump = side.startswith("interior")
     return _slp_blocks(p, omega, n, [(R, R, True, jump)])[0, 2:]
-
-
-class TwoRadiusBlocks(NamedTuple):
-    """Couplings between the two circles of a core-shell structure.
-
-    trace_inner / traction_inner: SLP living on r_outer evaluated on r_inner;
-    trace_outer / traction_outer: SLP living on r_inner evaluated on r_outer.
-    """
-
-    trace_inner: np.ndarray
-    traction_inner: np.ndarray
-    trace_outer: np.ndarray
-    traction_outer: np.ndarray
-
-
-def two_radius_coupling(
-    p: LameParams, omega: float, r_inner: float, r_outer: float, n: int
-) -> TwoRadiusBlocks:
-    """All four cross-circle blocks for a shell material p."""
-    if not 0.0 < r_inner < r_outer:
-        raise ValueError("need 0 < r_inner < r_outer")
-    links = [(r_outer, r_inner, False, False), (r_inner, r_outer, True, False)]
-    inner, outer = _slp_blocks(p, omega, n, links)
-    return TwoRadiusBlocks(inner[:2], inner[2:], outer[:2], outer[2:])
 
 
 def layered_system(
@@ -272,8 +236,10 @@ def layered_system(
     system, or a sequence of B of them, one per system; with any sequence
     the result is the (B, 4L, 4L) stack.  A shared material's blocks are
     built once and broadcast over the stack; a batched material's blocks are
-    built by the same kernel, entry by entry up to the array stage, so every
-    system in the stack is bit for bit the one its entries give alone.
+    built by the same kernel, entry by entry up to the array stage.  A
+    system's bits depend on its entries and on `_lookup`'s path alone: in a
+    batch below `_ARRAY_MIN_ARGS` distinct arguments it is bit for bit the
+    one its entries give alone, above it the same in any such batch.
     """
     L = len(radii)
     if L < 1 or len(materials) != L + 1:

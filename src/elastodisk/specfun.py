@@ -1,20 +1,20 @@
 """Integer-order Bessel J_n and first-kind Hankel H_n for complex arguments.
 
-Scalar, pure double precision.  The evaluation region is split so that every
-path stays below 5e-12 relative error, the bound the mpmath checks enforce,
-on the validated envelope |n| <= 200 (values permitting), |z| in [1e-2, 1e2],
+Pure double precision.  The evaluation region is split so that every path
+stays below 5e-12 relative error, the bound the mpmath checks enforce, on
+the validated envelope |n| <= 200 (values permitting), |z| in [1e-2, 1e2],
 arg z in (-pi/2, pi/2].  Screened against mpmath, the worst points sit at
-the branch switches: 3.7e-12 near |z| = 17 with Im z ~ 5.3, and one known
-excess, H at the corner of the J + iY path (|z| ~ 7.6-8, Im z ~ 3.6-4),
-which reaches 7.9e-12:
+the branch switches: 3.7e-12 near |z| = 17 with Im z ~ 5.3, and 3.0e-12 at
+the corner of the J + iY path (|z| ~ 7.6-8, Im z ~ 2.6-3):
 
 * Im z < 0 is mapped to the upper half plane through
   J_n(z) = conj(J_n(conj z)) and H_n(z) = 2 J_n(z) - conj(H_n(conj z));
   both are additions of like-sized quantities there.
 * |z| <= 8:   ascending series for J_n; H_n = J_n + i Y_n with the Y_0/Y_1
-  log series and upward recurrence while Im z <= 4 (the J + iY subtraction
+  log series and upward recurrence while Im z <= 3 (the J + iY subtraction
   loses a factor exp(2 Im z), harmless in that strip), else H_0 through the
-  continued fraction for H_0'/H_0 closed with the Wronskian.
+  continued fraction for H_0'/H_0 closed with the Wronskian (below 1e-14
+  against mpmath for 3 < Im z <= 4, |z| in 2-8).
 * 8 < |z| < 17: Miller backward recurrence for J.  The normalising value
   is the Jacobi-Anger sum J_0 + 2 sum J_2k = 1 when Im z <= 5 and the
   (cancellation-free there) J_0 series otherwise.  H_0 again from the
@@ -32,22 +32,17 @@ Derivatives always come from the three-term ladder f_n' = f_{n-1} - n f_n/z,
 never from finite differences.  Orders so large that the true value
 over/underflows double precision propagate inf/0 in the IEEE way.
 
-`cyl_pairs` is the array path: one pass over many arguments at a common
-order, each result bit for bit what `cyl_pair` returns for that argument.
-It covers the two |z| <= 8 branches (the J + iY series with the upward Y
-recurrence, and the continued-fraction closure for Im z > 4); arguments
-with |z| > 8 go through the cached scalar path one at a time.  numpy's
-complex multiply and divide use FMA on AVX-512 hosts and differ from
-Python's in the last bit for a large share of operands, so the array path
-keeps real and imaginary parts in separate float64 arrays and replays
-CPython 3.11's complex arithmetic on them (`_Cx`): products without FMA,
-Smith's division, abs through hypot, and real operands promoted to
-complex(x, 0.0).  The transcendentals (cmath.log, cmath.exp,
-math.lgamma) stay Python scalar calls, and every element's series,
-continued fraction and recurrence stops at the step where the scalar loop
-breaks.  The emulation rests on the interpreter's complex rules (Python
-3.14 changed the mixed real/complex ones); `elastodisk selfcheck` counts
-the mismatches on a fixed grid and fails on any.
+`cyl_pair` is the scalar path, in Python complex arithmetic and cached.
+`cyl_pairs` is the array path: one numpy pass over many arguments at a
+common order for the two |z| <= 8 branches; arguments with |z| > 8 go
+through `cyl_pair` one at a time.  It runs the scalar algorithms, and every
+element's series, continued fraction and recurrence stops at the step
+where the scalar loop breaks, so an element's value depends on that
+argument alone, whatever else the batch holds.  numpy's complex arithmetic
+rounds differently from Python's (FMA on AVX-512 hosts), so the two paths
+agree to rounding, not bit for bit: within 1e-12 relative, except at the
+J + iY corner above, where the cancellation lifts the gap to about 3e-12.
+`elastodisk selfcheck` checks that agreement.
 
 All functions are pure and safe to call from any number of threads.
 """
@@ -55,8 +50,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,22 +59,19 @@ EULER_GAMMA = 0.5772156649015328606
 
 _SERIES_RADIUS = 8.0
 _ASYMP_RADIUS = 17.0
-_JIY_IM_LIMIT = 4.0
+_JIY_IM_LIMIT = 3.0
 _JA_IM_LIMIT = 5.0
 _RESCALE_LIMIT = 1e250
 _MAX_CF_ITER = 5000
 
 
-@dataclass(frozen=True)
-class CylPair:
+class CylPair(NamedTuple):
     """J_n, H_n and their derivatives at a common complex argument."""
 
     j: complex
     jp: complex
     h: complex
     hp: complex
-    order: int
-    arg: complex
 
 
 def _checked(z) -> complex:
@@ -228,7 +220,7 @@ def _upward_top(nmax: int, z: complex,
                 f0: complex, f1: complex) -> tuple[complex, complex]:
     """f_{nmax-1}, f_nmax by upward recurrence (stable for the dominant solution).
 
-    Runs unchanged on `_Cx` arrays, the array path's complex type.
+    Runs unchanged on the complex arrays of the array path.
     """
     for m in range(1, nmax):
         f0, f1 = f1, (2.0 * m / z) * f1 - f0
@@ -266,14 +258,12 @@ def _jh_top(nmax: int, z: complex) -> tuple[complex, complex, complex, complex]:
 
 
 @lru_cache(maxsize=1 << 14)
-def _pair_upper(n: int, z: complex) -> tuple[complex, complex, complex, complex]:
+def _pair_upper(n: int, z: complex) -> CylPair:
     """(J_n, J_n', H_n, H_n') for n >= 0, Im z >= 0, z != 0."""
     j_lo, j_hi, h_lo, h_hi = _jh_top(max(n, 1), z)
     if n == 0:
-        return j_lo, -j_hi, h_lo, -h_hi
-    jp = j_lo - (n / z) * j_hi
-    hp = h_lo - (n / z) * h_hi
-    return j_hi, jp, h_hi, hp
+        return CylPair(j_lo, -j_hi, h_lo, -h_hi)
+    return CylPair(j_hi, j_lo - (n / z) * j_hi, h_hi, h_lo - (n / z) * h_hi)
 
 
 def cyl_pair(n: int, z) -> CylPair:
@@ -286,16 +276,15 @@ def cyl_pair(n: int, z) -> CylPair:
         raise ValueError("Hankel functions are singular at z = 0")
     m = abs(int(n))
     if z.imag >= 0.0:
-        jv, jd, hv, hd = _pair_upper(m, z)
+        pair = _pair_upper(m, z)
     else:
         cj, cjp, ch, chp = _pair_upper(m, z.conjugate())
         jv = cj.conjugate()
         jd = cjp.conjugate()
-        hv = 2.0 * jv - ch.conjugate()
-        hd = 2.0 * jd - chp.conjugate()
+        pair = CylPair(jv, jd, 2.0 * jv - ch.conjugate(), 2.0 * jd - chp.conjugate())
     if n < 0 and m % 2 == 1:
-        jv, jd, hv, hd = -jv, -jd, -hv, -hd
-    return CylPair(j=jv, jp=jd, h=hv, hp=hd, order=int(n), arg=z)
+        pair = CylPair(*(-v for v in pair))
+    return pair
 
 
 def bessel_j(n: int, z) -> complex:
@@ -308,114 +297,7 @@ def bessel_j(n: int, z) -> complex:
     return -val if n < 0 and n % 2 == 1 else val
 
 
-def hankel1(n: int, z) -> complex:
-    """H_n(z) = J_n(z) + i Y_n(z), first kind; z = 0 is rejected."""
-    return cyl_pair(n, z).h
-
-
 # -- array path --------------------------------------------------------------
-
-
-def _quot(ar, ai, br, bi) -> "_Cx":
-    """a / b as CPython 3.11's _Py_c_quot computes it (Smith's algorithm):
-    scaled by b.real where |b.real| >= |b.imag|, else by b.imag where
-    |b.imag| >= |b.real|, else (a NaN part) NaN."""
-    abs_br, abs_bi = np.abs(br), np.abs(bi)
-    if np.any((abs_br == 0.0) & (abs_bi == 0.0)):
-        raise ZeroDivisionError("complex division by zero")
-    by_re, by_im = abs_br >= abs_bi, abs_bi > abs_br
-    if not np.all(by_im):
-        ratio = bi / br
-        denom = br + bi * ratio
-        first = _Cx((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-        if np.all(by_re):
-            return first
-    ratio = br / bi
-    denom = br * ratio + bi
-    second = _Cx((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-    if np.all(by_im):
-        return second
-    return _Cx(
-        np.where(by_re, first.re, np.where(by_im, second.re, np.nan)),
-        np.where(by_re, first.im, np.where(by_im, second.im, np.nan)),
-    )
-
-
-def _parts(o):
-    if isinstance(o, _Cx):
-        return o.re, o.im
-    if isinstance(o, complex):
-        return o.real, o.imag
-    return (float(o) if np.ndim(o) == 0 else np.asarray(o, dtype=float)), 0.0
-
-
-class _Cx:
-    """A complex array as two float64 arrays, with CPython 3.11's complex
-    arithmetic: a real or int operand is complex(x, 0.0), products are
-    ar*br - ai*bi and ar*bi + ai*br (no FMA), division is `_quot`, abs is
-    hypot.  Both products and sums are commutative bit for bit in IEEE
-    arithmetic, so the reflected operators reuse the forward ones."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    @classmethod
-    def full(cls, size: int, x: float) -> "_Cx":
-        return cls(np.full(size, x), np.zeros(size))
-
-    @classmethod
-    def of(cls, values) -> "_Cx":
-        a = np.array(values, dtype=complex)
-        return cls(a.real.copy(), a.imag.copy())
-
-    def __add__(self, o):
-        br, bi = _parts(o)
-        return _Cx(self.re + br, self.im + bi)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        br, bi = _parts(o)
-        return _Cx(self.re - br, self.im - bi)
-
-    def __rsub__(self, o):
-        ar, ai = _parts(o)
-        return _Cx(ar - self.re, ai - self.im)
-
-    def __mul__(self, o):
-        br, bi = _parts(o)
-        ar, ai = self.re, self.im
-        return _Cx(ar * br - ai * bi, ar * bi + ai * br)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        return _quot(self.re, self.im, *_parts(o))
-
-    def __rtruediv__(self, o):
-        return _quot(*_parts(o), self.re, self.im)
-
-    def __neg__(self):
-        return _Cx(-self.re, -self.im)
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
-
-    def __getitem__(self, k):
-        return _Cx(self.re[k], self.im[k])
-
-    def __setitem__(self, k, v):
-        self.re[k], self.im[k] = _parts(v)
-
-    def conjugate(self):
-        return _Cx(self.re, -self.im)
-
-    def complex(self) -> np.ndarray:
-        out = np.empty(np.shape(self.re), dtype=complex)
-        out.real, out.imag = self.re, self.im
-        return out
 
 
 def _loop(step, ks, *state):
@@ -425,8 +307,8 @@ def _loop(step, ks, *state):
     elements whose loop breaks at this k; those elements keep that state
     and take no further step.  Returns state[0] per element.
     """
-    live = np.arange(state[0].re.size)
-    out = _Cx.full(live.size, np.nan)
+    live = np.arange(state[0].size)
+    out = np.full(live.size, np.nan, dtype=complex)
     for k in ks:
         state, done = step(k, *state)
         if done.any():
@@ -439,34 +321,27 @@ def _loop(step, ks, *state):
     return out
 
 
-def _at_least_one(x):
-    return np.where(x > 1.0, x, 1.0)  # max(1.0, x), which maps NaN to 1.0
-
-
-def _j_series_arr(orders, z: _Cx, logs) -> dict[int, _Cx]:
-    """`_j_series` at each order for every element of z (|z| <= 8)."""
-    nz = len(logs)
+def _j_series_arr(orders, z: np.ndarray, logs: np.ndarray) -> dict[int, np.ndarray]:
+    """`_j_series` at each order for every element of z (|z| <= 8), given
+    logs = log(z/2)."""
 
     def step(k, total, term, q, m):
         term = term * (q / (k * (m + k)))
         total = total + term
-        return (total, term, q, m), abs(term) <= 1e-18 * abs(total)
+        return (total, term, q, m), np.abs(term) <= 1e-18 * np.abs(total)
 
-    q = -0.25 * z * z
-    q = _Cx(np.tile(q.re, len(orders)), np.tile(q.im, len(orders)))
-    one = _Cx.full(q.re.size, 1.0)
-    m = np.repeat(np.asarray(orders, dtype=float), nz)
+    q = np.tile(-0.25 * z * z, len(orders))
+    m = np.repeat(np.asarray(orders, dtype=float), z.size)
+    one = np.ones(q.size, dtype=complex)
     total = _loop(step, range(1, 80), one, one, q, m)
-    res = {}
-    for i, n in enumerate(orders):
-        lg = math.lgamma(n + 1)
-        pref = _Cx.of([cmath.exp(n * x - lg) for x in logs])
-        res[n] = pref * total[i * nz:(i + 1) * nz]
-    return res
+    return {
+        n: np.exp(n * logs - math.lgamma(n + 1)) * t
+        for n, t in zip(orders, np.split(total, len(orders)))
+    }
 
 
-def _y01_series_arr(z: _Cx, logs, j0: _Cx, j1: _Cx) -> tuple[_Cx, _Cx]:
-    """`_y01_series` for every element of z."""
+def _y01_series_arr(z, lg, j0, j1) -> tuple[np.ndarray, np.ndarray]:
+    """`_y01_series` for every element of z, given lg = log(z/2) + gamma."""
     h = h_k = 0.0
     h_k1 = 1.0
 
@@ -475,7 +350,7 @@ def _y01_series_arr(z: _Cx, logs, j0: _Cx, j1: _Cx) -> tuple[_Cx, _Cx]:
         t = t * (q / (k * k))
         h += 1.0 / k
         s = s + h * t
-        return (s, t, q), abs(t) <= 1e-18 * _at_least_one(abs(s))
+        return (s, t, q), np.abs(t) <= 1e-18 * np.fmax(np.abs(s), 1.0)
 
     def y1_step(k, s1, r, q):
         nonlocal h_k, h_k1
@@ -483,12 +358,10 @@ def _y01_series_arr(z: _Cx, logs, j0: _Cx, j1: _Cx) -> tuple[_Cx, _Cx]:
         h_k += 1.0 / k
         h_k1 += 1.0 / (k + 1)
         s1 = s1 + (h_k + h_k1) * r
-        return (s1, r, q), abs(r) <= 1e-18 * _at_least_one(abs(s1))
+        return (s1, r, q), np.abs(r) <= 1e-18 * np.fmax(np.abs(s1), 1.0)
 
-    lg = _Cx.of([x + EULER_GAMMA for x in logs])
     mq = -0.25 * z * z
-    size = len(logs)
-    s = _loop(y0_step, range(1, 80), _Cx.full(size, 0.0), _Cx.full(size, 1.0), mq)
+    s = _loop(y0_step, range(1, 80), np.zeros_like(z), np.ones_like(z), mq)
     y0 = (2.0 / math.pi) * (lg * j0 - s)
     r = 0.5 * z
     s1 = _loop(y1_step, range(1, 80), r * (h_k + h_k1), r, mq)
@@ -496,100 +369,82 @@ def _y01_series_arr(z: _Cx, logs, j0: _Cx, j1: _Cx) -> tuple[_Cx, _Cx]:
     return y0, y1
 
 
-def _cf2_direct_arr(z: _Cx) -> _Cx:
+def _cf2_direct_arr(z: np.ndarray) -> np.ndarray:
     """`_cf2_direct` for every element of z."""
     tiny = 1e-290
 
     def step(k, f, c, d, z):
         a = (k - 0.5) ** 2
         b = 2.0 * (z + k * 1j)
-        d = _reset_zeros(b + a * d, tiny)
-        c = _reset_zeros(b + a / c, tiny)
+        d = b + a * d
+        d[d == 0] = tiny
+        c = b + a / c
+        c[c == 0] = tiny
         d = 1.0 / d
         delta = c * d
-        f = f * delta
-        return (f, c, d, z), abs(delta - 1.0) < 1e-16
+        return (f * delta, c, d, z), np.abs(delta - 1.0) < 1e-16
 
-    # f and c start as the float tiny and d as 0j; a float x acts as
-    # complex(x, 0.0) in every operation it meets here
-    start, zero = _Cx.full(z.re.size, tiny), _Cx.full(z.re.size, 0.0)
-    f = _loop(step, range(1, _MAX_CF_ITER + 1), start, start, zero, z)
+    start = np.full(z.size, tiny, dtype=complex)
+    f = _loop(step, range(1, _MAX_CF_ITER + 1), start, start, np.zeros_like(z), z)
     return -0.5 / z + 1j + (1j / z) * f
 
 
-def _reset_zeros(x: _Cx, tiny: float) -> _Cx:
-    """`if x == 0: x = tiny` of the Lentz loop, element by element."""
-    zero = (x.re == 0.0) & (x.im == 0.0)
-    if zero.any():
-        x.re[zero], x.im[zero] = tiny, 0.0
-    return x
-
-
-def _jh_top_arr(nmax: int, w: list[complex]) -> tuple[_Cx, _Cx, _Cx, _Cx]:
-    """`_jh_top` for arguments with Im w >= 0 and 0 < |w| <= 8."""
-    z = _Cx.of(w)
-    logs = [cmath.log(0.5 * x) for x in w]
+def _jh_top_arr(nmax: int, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_jh_top` for arguments with Im z >= 0 and 0 < |z| <= 8."""
+    logs = np.log(0.5 * z)
     j = _j_series_arr(list(dict.fromkeys((0, 1, nmax - 1, nmax))), z, logs)
-    jiy = z.im <= _JIY_IM_LIMIT
-    h = [_Cx.full(len(w), np.nan) for _ in range(2)]
-    for sel, series in ((np.flatnonzero(jiy), True), (np.flatnonzero(~jiy), False)):
-        if not sel.size:
+    h = np.empty((2, z.size), dtype=complex)
+    jiy = z.imag <= _JIY_IM_LIMIT
+    for sel in (jiy, ~jiy):
+        if not sel.any():
             continue
-        zs = z[sel]
-        j0, j1 = j[0][sel], j[1][sel]
-        if series:
-            y0, y1 = _y01_series_arr(zs, [logs[i] for i in sel], j0, j1)
+        zs, j0, j1 = z[sel], j[0][sel], j[1][sel]
+        if sel is jiy:
+            y0, y1 = _y01_series_arr(zs, logs[sel] + EULER_GAMMA, j0, j1)
             ya, yb = _upward_top(nmax, zs, y0, y1)
-            lo = j[nmax - 1][sel] + 1j * ya
-            hi = j[nmax][sel] + 1j * yb
+            h[:, sel] = j[nmax - 1][sel] + 1j * ya, j[nmax][sel] + 1j * yb
         else:
             r2 = _cf2_direct_arr(zs)
             h0 = (2j / (math.pi * zs)) / (j0 * r2 + j1)
-            lo, hi = _upward_top(nmax, zs, h0, -r2 * h0)
-        h[0][sel], h[1][sel] = lo, hi
+            h[:, sel] = _upward_top(nmax, zs, h0, -r2 * h0)
     return j[nmax - 1], j[nmax], h[0], h[1]
 
 
 def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """J_n, J_n', H_n, H_n' at every argument of zs, as four complex arrays.
 
-    Entry i is bit for bit `cyl_pair(n, zs[i])`, a -0.0 part of the
-    argument counting as +0.0 there too; a non-finite or zero argument
-    raises that call's ValueError for the whole batch.
+    Entry i agrees with `cyl_pair(n, zs[i])` to rounding (see the module
+    notes) and has the same bits in any batch.  A -0.0 part of an argument
+    counts as +0.0 here too; a non-finite or zero argument raises that
+    call's ValueError for the whole batch.
     """
     zs = [_checked(z) for z in zs]
     if 0 in zs:
         cyl_pair(n, 0j)  # raises the scalar path's error
     m = abs(int(n))
-    lower = np.array([z.imag < 0.0 for z in zs], dtype=bool)
-    w = [z.conjugate() if z.imag < 0.0 else z for z in zs]
-    small = np.array([abs(x) <= _SERIES_RADIUS for x in w], dtype=bool)
-    out = [_Cx.full(len(zs), np.nan) for _ in range(4)]
-    sel = np.flatnonzero(small)
+    z = np.array(zs, dtype=complex)
+    lower = z.imag < 0.0
+    w = np.where(lower, z.conjugate(), z)
+    small = np.abs(w) <= _SERIES_RADIUS
+    out = np.empty((4, z.size), dtype=complex)
     with np.errstate(all="ignore"):
-        if sel.size:
-            ws = [w[i] for i in sel]
+        if small.any():
             # the tails of `_pair_upper` and `cyl_pair`, on arrays
+            ws = w[small]
             j_lo, j_hi, h_lo, h_hi = _jh_top_arr(max(m, 1), ws)
             if m == 0:
-                quad = [j_lo, -j_hi, h_lo, -h_hi]
+                jv, jd, hv, hd = j_lo, -j_hi, h_lo, -h_hi
             else:
-                zw = _Cx.of(ws)
-                quad = [j_hi, j_lo - (m / zw) * j_hi, h_hi, h_lo - (m / zw) * h_hi]
-            low = lower[sel]
-            if low.any():
-                cj, cjp, ch, chp = (x[low] for x in quad)
-                jv = cj.conjugate()
-                jd = cjp.conjugate()
-                for x, v in zip(quad, (jv, jd, 2.0 * jv - ch.conjugate(),
-                                       2.0 * jd - chp.conjugate())):
-                    x[low] = v
-            for o, x in zip(out, quad):
-                o[sel] = x
+                jv, jd = j_hi, j_lo - (m / ws) * j_hi
+                hv, hd = h_hi, h_lo - (m / ws) * h_hi
+            low = lower[small]
+            jv = np.where(low, jv.conjugate(), jv)
+            jd = np.where(low, jd.conjugate(), jd)
+            hv = np.where(low, 2.0 * jv - hv.conjugate(), hv)
+            hd = np.where(low, 2.0 * jd - hd.conjugate(), hd)
+            out[:, small] = jv, jd, hv, hd
         for i in np.flatnonzero(~small):
-            p = cyl_pair(m, zs[i])
-            for o, v in zip(out, (p.j, p.jp, p.h, p.hp)):
-                o[i] = v
-        if n < 0 and m % 2 == 1:
-            out = [-o for o in out]
-    return tuple(o.complex() for o in out)
+            out[:, i] = cyl_pair(m, zs[i])
+    if n < 0 and m % 2 == 1:
+        out = -out
+    return tuple(out)

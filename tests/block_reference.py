@@ -4,8 +4,17 @@ This is the composition the library used before its block kernel: per block,
 the Q/P source weights, the two eval-side coefficient vectors (each built
 with its own `cyl_pair` lookups) and a `column_stack` of the weighted sums;
 per layered system, the blocks placed one interface and one annulus at a
-time.  The kernel must reproduce it bit for bit, so every expression keeps
-its operand order and its Python-scalar or numpy evaluation.
+time.  On the scalar special-function path the kernel must reproduce it bit
+for bit, so every expression keeps its operand order and its Python-scalar
+or numpy evaluation.
+
+`layered_system(..., magnitude=True)` is the same assembly over magnitudes:
+every sum of terms that carry cylinder values becomes the sum of the terms'
+magnitudes (the jump, which carries none, is left out).  A relative change
+delta of every cylinder value moves an entry by at most about 2 delta times
+its magnitude entry (each term is a product of two cylinder-valued
+factors); `array_path_bound` is that bound for the array special-function
+path, which agrees with the scalar one within CYL_GAP.
 """
 from __future__ import annotations
 
@@ -17,6 +26,9 @@ from elastodisk.media import LameParams, wavenumbers
 from elastodisk.specfun import cyl_pair
 
 _I2 = np.eye(2, dtype=complex)
+# Relative gap between array-path and scalar cylinder values, as
+# tests/test_specfun.py checks it.
+CYL_GAP = 1e-12
 
 
 def wave_coeffs(shear: bool, interior: bool, n: int, k: complex, r: float):
@@ -83,23 +95,68 @@ def traction_interior(p: LameParams, omega: float, R: float, n: int):
     return blocks(p, omega, R, n, R, True)[1] - _I2
 
 
-def layered_system(materials, radii, omega: float, n: int) -> np.ndarray:
-    """One unbatched system, placed as the library placed it block by block."""
+def magnitude_entries(shear: bool, interior: bool, n: int, k: complex, r: float,
+                      p: LameParams) -> np.ndarray:
+    """|trace nu, t| then |traction nu, t| of one wave, each sum taken over
+    the magnitudes of its terms."""
+    z = k * r
+    pair = cyl_pair(n, z)
+    f, fp = np.abs(pair[:2] if interior else pair[2:])  # inf where they overflow
+    mu = p.mu
+    omega2 = (mu if shear else (p.lam + 2.0 * mu)) * k * k
+    scale = abs(k * r * r)
+    trace = [2.0 * n * f / abs(z), 2.0 * fp]
+    edge = 4.0 * n * abs(mu) * (abs(z) * fp + f) / scale
+    body = 2.0 * (abs(2.0 * mu * n * n - omega2 * r * r) * f + 2.0 * abs(mu * z) * fp)
+    traction = [edge, body / scale]
+    if shear:
+        return np.array(trace + traction)
+    return np.array(trace[::-1] + traction[::-1])
+
+
+def magnitude_blocks(p: LameParams, omega: float, R: float, n: int, r: float,
+                     exterior: bool):
+    """`blocks` over magnitudes, as (trace, traction)."""
+    ks, kp, *weights = source_factors(p, omega, R, n, exterior)
+    wq_nu, wp_nu, wq_t, wp_t = map(abs, weights)
+    q = magnitude_entries(True, not exterior, n, ks, r, p)
+    pp = magnitude_entries(False, not exterior, n, kp, r, p)
+    both = np.column_stack([wq_nu * q + wp_nu * pp, wq_t * q + wp_t * pp])
+    return both[:2], both[2:]
+
+
+def layered_system(materials, radii, omega: float, n: int,
+                   magnitude: bool = False) -> np.ndarray:
+    """One unbatched system, placed as the library placed it block by block,
+    or with `magnitude` its magnitude bound (see the module notes)."""
+    if magnitude:
+        return _placed(materials, radii, omega, n, magnitude_blocks, 0.0)
+    return _placed(materials, radii, omega, n, blocks, _I2)
+
+
+def array_path_bound(materials, radii, omega: float, n: int) -> np.ndarray:
+    """Entrywise bound on how far the system moves when its cylinder values
+    come from the array path: 2 CYL_GAP times its magnitude assembly."""
+    mag = layered_system(materials, radii, omega, n, magnitude=True)
+    return 2.0 * CYL_GAP * np.abs(mag)
+
+
+def _placed(materials, radii, omega: float, n: int, build, jump) -> np.ndarray:
     L = len(radii)
     m = np.zeros((4 * L, 4 * L), dtype=complex)
     for j, r in enumerate(radii):
         a, b = 4 * j, 4 * j + 2
-        trace_in = blocks(materials[j], omega, r, n, r, True)[0]
-        traction_in = traction_interior(materials[j], omega, r, n)
-        trace_out, traction_out = blocks(materials[j + 1], omega, r, n, r, True)
+        trace_in, traction_in = build(materials[j], omega, r, n, r, True)
+        traction_in = traction_in - jump
+        trace_out, traction_out = build(materials[j + 1], omega, r, n, r, True)
         m[a : a + 2, a : a + 2] = trace_in
         m[b : b + 2, a : a + 2] = traction_in
         m[a : a + 2, b : b + 2] = -trace_out
         m[b : b + 2, b : b + 2] = -traction_out
     for j in range(1, L):
         p, r_in, r_out = materials[j], radii[j - 1], radii[j]
-        trace_inner, traction_inner = blocks(p, omega, r_out, n, r_in, False)
-        trace_outer, traction_outer = blocks(p, omega, r_in, n, r_out, True)
+        trace_inner, traction_inner = build(p, omega, r_out, n, r_in, False)
+        trace_outer, traction_outer = build(p, omega, r_in, n, r_out, True)
         a = 4 * j
         m[a - 4 : a - 2, a : a + 2] = -trace_inner
         m[a - 2 : a, a : a + 2] = -traction_inner

@@ -39,13 +39,9 @@ from elastodisk.nocore import (
     sweep,
 )
 from elastodisk.np_spectrum import EigCase, NpModeMatrix, np_eigensystem, np_matrix
-from elastodisk.potentials import (
-    mode_matrix_boundary,
-    scalar_slp_mode,
-    traction_matrix,
-    two_radius_coupling,
-)
+from elastodisk.potentials import scalar_slp_mode, traction_matrix
 from elastodisk.specfun import cyl_pair
+from library_helpers import mode_matrix_boundary, two_radius_coupling
 
 P11 = LameParams(1.0, 1.0)
 GEO = AnnulusGeometry(0.8, 1.0)

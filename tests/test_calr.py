@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import block_reference as ref
 from conftest import incident_displacement, polar_to_cartesian
 from elastodisk.calr import (
     CoreShellConfig,
@@ -16,6 +17,7 @@ from elastodisk.calr import (
     recipe_config,
     shell_dissipation,
     shell_modulus,
+    shifted_shell,
     solve_calr_mode,
     tune_p,
 )
@@ -132,9 +134,19 @@ class TestTuning:
         assert scaled.p == pytest.approx(base.p, abs=1e-6)
 
     def test_stacked_scan_matches_point_determinants(self):
+        # the scan's systems take array-path cylinder values, det_m's the
+        # scalar ones: each entry of M moves by at most dM (see
+        # `block_reference.array_path_bound`), so to first order
+        # |d det| / |det| = |tr(M^-1 dM)| <= sum |M^-1|^T dM
         cfg = fig_config()
         tr = tune_p(cfg, steps=241)
-        assert tr.scan_abs_det.tolist() == [abs(det_m(cfg, p)) for p in tr.scan_p]
+        (core, _, matrix), radii = cfg.layers
+        for p, got in zip(tr.scan_p, tr.scan_abs_det):
+            materials = (core, shifted_shell(cfg, p), matrix)
+            m = ref.layered_system(materials, radii, OMEGA, N0)
+            dm = ref.array_path_bound(materials, radii, OMEGA, N0)
+            want = abs(det_m(cfg, p))
+            assert abs(got - want) <= want * np.sum(np.abs(np.linalg.inv(m)).T * dm)
 
 
 class TestEnergy:
@@ -227,11 +239,8 @@ class TestEnergy:
 
 class TestTransmission:
     def test_boundary_traces_at_64_angles(self):
-        from elastodisk.potentials import (
-            mode_matrix_boundary,
-            traction_matrix,
-            two_radius_coupling,
-        )
+        from elastodisk.potentials import traction_matrix
+        from library_helpers import mode_matrix_boundary, two_radius_coupling
 
         cfg = fig_config(p=P_TUNED[25])
         term = SourceTerm(N0, 1.0, 0.0)
@@ -295,7 +304,7 @@ def test_lossy_shell_blocks_against_quadrature():
     # loss and near-imaginary wavenumbers; its cross-circle blocks must
     # still match the kernel quadrature
     from conftest import quad_vector_converged
-    from elastodisk.potentials import two_radius_coupling
+    from library_helpers import two_radius_coupling
 
     mu_hat = complex(-0.5 + P_TUNED[25], 0.8**N0)
     shell = LameParams(mu_hat, mu_hat)

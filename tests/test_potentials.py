@@ -20,12 +20,11 @@ from conftest import (
 from elastodisk.media import LameParams, wavenumbers
 from elastodisk.potentials import (
     layered_system,
-    mode_matrix_boundary,
     scalar_slp_mode,
     slp_trace,
     traction_matrix,
-    two_radius_coupling,
 )
+from library_helpers import mode_matrix_boundary, two_radius_coupling
 
 P11 = LameParams(1.0, 1.0)
 

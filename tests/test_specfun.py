@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from elastodisk import selfcheck, specfun
 from elastodisk.calr import recipe_config, shifted_shell
 from elastodisk.media import AnnulusGeometry, LameParams, wavenumbers
-from elastodisk.specfun import CylPair, bessel_j, cyl_pair, cyl_pairs, hankel1
+from elastodisk.specfun import bessel_j, cyl_pair, cyl_pairs
+from library_helpers import hankel1
 
 # 60-term ascending series at 50 digits, frozen (see mp_series_j below).
 J5_2_05J = complex(0.0034621099584312315, 0.0075258129009681530)
@@ -31,24 +32,23 @@ def mp_series_j(n, z, terms=60):
     return complex(pref * total)
 
 
-def assert_matches_mpmath(n, z):
+def assert_matches_mpmath(n, z, dps=150):
+    """J_n, J_n', H_n, H_n' at z within 5e-12 relative of mpmath, on the
+    scalar path and on the array path."""
     # dps must cover the exp(2|Im z|) cancellation inside mpmath's own
     # J + iY evaluation of H at strongly imaginary arguments.
-    mp.mp.dps = 150
-    p = cyl_pair(n, z)
+    mp.mp.dps = dps
     zr = mp.mpc(z)
-    for mine, ref in (
-        (p.j, mp.besselj(n, zr)),
-        (p.h, mp.hankel1(n, zr)),
-        (p.jp, (mp.besselj(n - 1, zr) - mp.besselj(n + 1, zr)) / 2),
-        (p.hp, (mp.hankel1(n - 1, zr) - mp.hankel1(n + 1, zr)) / 2),
-    ):
-        ref = complex(ref)
-        assert abs(mine - ref) <= 5e-12 * max(abs(ref), sys.float_info.min)
+    j = [mp.besselj(m, zr) for m in (n - 1, n, n + 1)]
+    h = [mp.hankel1(m, zr) for m in (n - 1, n, n + 1)]
+    refs = [complex(x) for x in (j[1], (j[0] - j[2]) / 2, h[1], (h[0] - h[2]) / 2)]
+    for values in (cyl_pair(n, z), [a[0] for a in cyl_pairs(n, [z])]):
+        for mine, ref in zip(values, refs):
+            assert abs(mine - ref) <= 5e-12 * max(abs(ref), sys.float_info.min), (n, z)
 
 
-def wronskian_resid(p: CylPair) -> float:
-    z = p.arg
+def wronskian_resid(n, z) -> float:
+    p = cyl_pair(n, z)
     w = (p.j * p.hp - p.jp * p.h - 2j / (math.pi * z)) * (math.pi * z / 2.0)
     return abs(w)
 
@@ -155,7 +155,7 @@ class TestCylPair:
         assert p1.jp == pytest.approx(p0.j - p1.j / 1.0, rel=1e-14)
 
     def test_wronskian_invariant(self):
-        assert wronskian_resid(cyl_pair(4, 2.7)) < 1e-10
+        assert wronskian_resid(4, 2.7) < 1e-10
 
     def test_negative_order_parity(self):
         p, m = cyl_pair(3, 1 + 1j), cyl_pair(-3, 1 + 1j)
@@ -178,17 +178,15 @@ class TestCylPair:
             ("miller_ja", [(1, 10 + 2j), (61, 12 + 1j), (120, 15 + 4j), (200, 9 + 0.5j)]),
             ("miller_j0", [(1, 9 + 6j), (61, 10 + 8j), (150, 8 + 13j)]),
             ("asymptotic", [(1, 30 + 2j), (61, 40 + 5j), (120, 60 + 3j), (200, 90 + 1j)]),
-            # screened points next to the branch switches, 4.8e-12 and 3.7e-12
-            ("jiy_corner", [(2, 6.275320584440288 + 3.96875j)]),
+            # screened points next to the branch switches: 3.0e-12 at the
+            # corner of the J + iY strip Im z <= 3, 3.7e-12 at |z| = 17
+            ("jiy_corner3", [(0, 7.4073289293156535 + 2.8947591944805833j)]),
             ("miller_j0_switch", [(0, 15.963471160615178 + 5.341011306448887j)]),
+            # 4.8e-12 and 7.9e-12 on the J + iY path, now continued fraction
+            ("jiy_corner", [(2, 6.275320584440288 + 3.96875j)]),
+            ("cf_corner", [(2, 6.837507518909508 + 3.9844556386916774j)]),
         )
         for n, z in points
-    ] + [
-        # H_2 is 7.9e-12 off here: the J + iY subtraction near its Im z = 4
-        # limit at |z| ~ 8 (a known excess, see the specfun docstring)
-        pytest.param(2, 6.837507518909508 + 3.9844556386916774j,
-                     id="jiy_corner_excess-n2",
-                     marks=pytest.mark.xfail(strict=True, reason="known 7.9e-12 excess")),
     ])
     @pytest.mark.slow
     def test_against_mpmath_high_order(self, n, z):
@@ -211,7 +209,7 @@ class TestIdentityGrids:
         for n in range(0, 61, 3):
             for r in np.logspace(-2, 2, 13):
                 for a in PHYSICAL_ARGS:
-                    worst = max(worst, wronskian_resid(cyl_pair(n, r * cmath.exp(1j * a))))
+                    worst = max(worst, wronskian_resid(n, r * cmath.exp(1j * a)))
         assert worst < 1e-10
 
     def test_wronskian_lower_sector_small_modulus(self):
@@ -220,7 +218,7 @@ class TestIdentityGrids:
         worst = 0.0
         for n in range(0, 61, 5):
             for r in np.logspace(-2, math.log10(7.0), 9):
-                worst = max(worst, wronskian_resid(cyl_pair(n, r * cmath.exp(-1.2j))))
+                worst = max(worst, wronskian_resid(n, r * cmath.exp(-1.2j)))
         assert worst < 1e-10
 
     def test_three_term_recurrence(self):
@@ -284,7 +282,7 @@ class TestIdentityGrids:
 )
 def test_wronskian_property(n, logr, arg):
     z = 10.0**logr * cmath.exp(1j * arg)
-    assert wronskian_resid(cyl_pair(n, z)) < 1e-10
+    assert wronskian_resid(n, z) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -329,33 +327,68 @@ def workload_arguments():
     )
 
 
-def assert_pairs_match_scalar(n, zs):
-    got = cyl_pairs(n, zs)
-    want = [cyl_pair(n, z) for z in zs]
-    for k, name in enumerate(("j", "jp", "h", "hp")):
-        ref = np.array([getattr(p, name) for p in want], dtype=complex)
-        assert got[k].shape == ref.shape
-        assert np.array_equal(got[k].view(np.uint64), ref.view(np.uint64)), name
+def scalar_pairs(n, zs):
+    return np.array([cyl_pair(n, z) for z in zs], dtype=complex).T
+
+
+def relative_gap(got, want) -> float:
+    """Largest |got - want| / |want| over the entries; the finiteness
+    pattern must match, and entries equal on both paths count as 0."""
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    with np.errstate(all="ignore"):
+        gap = np.abs(got - want) / np.abs(want)
+    gap[got == want] = 0.0
+    return float(np.max(gap[finite], initial=0.0))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestCylPairs:
-    """The array path against the scalar one, bit for bit."""
+    """The array path: within 1e-12 relative of the scalar path, whose
+    algorithms it runs in numpy arithmetic, and for every argument the same
+    bits whatever else the batch holds."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 25, 60, 200, -3])
     def test_branches_bit_for_bit(self, n):
-        assert_pairs_match_scalar(n, branch_arguments(400))
+        # every branch and edge; the same bits reversed and cut in two
+        zs = branch_arguments(400)
+        got = np.array(cyl_pairs(n, zs))
+        assert relative_gap(got, scalar_pairs(n, zs)) <= 1e-12
+        assert same_bits(np.array(cyl_pairs(n, zs[::-1]))[:, ::-1], got)
+        cut = len(zs) // 2 + 1
+        halves = [np.array(cyl_pairs(n, part)) for part in (zs[:cut], zs[cut:])]
+        assert same_bits(np.concatenate(halves, axis=1), got)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 95, 96, 97, 300])
     def test_batch_sizes_bit_for_bit(self, size):
+        # each argument alone, in this batch, and shuffled among others
         zs = branch_arguments(size, seed=size)[:size]
+        pool = zs + branch_arguments(150, seed=size + 1)
+        order = np.random.default_rng(size).permutation(len(pool))
+        at = np.argsort(order)[:size]
         for n in (1, 5, -3):
-            assert_pairs_match_scalar(n, zs)
+            got = np.array(cyl_pairs(n, zs))
+            assert relative_gap(got, scalar_pairs(n, zs)) <= 1e-12
+            alone = np.concatenate([np.array(cyl_pairs(n, [z])) for z in zs], axis=1)
+            assert same_bits(alone, got)
+            shuffled = np.array(cyl_pairs(n, [pool[i] for i in order]))
+            assert same_bits(shuffled[:, at], got)
 
     def test_workload_arguments_bit_for_bit(self):
+        # a disk sweep's and a CALR scan's arguments, apart and in one batch
         disk, calr = workload_arguments()
-        assert any(z.imag > 4.0 for z in calr)  # the continued-fraction branch
-        assert_pairs_match_scalar(5, disk)
-        assert_pairs_match_scalar(25, calr)
+        assert any(z.imag > 3.0 for z in calr)  # the continued-fraction branch
+        for n in (5, 25):
+            apart = [np.array(cyl_pairs(n, zs)) for zs in (disk, calr)]
+            for got, zs in zip(apart, (disk, calr)):
+                assert relative_gap(got, scalar_pairs(n, zs)) <= 1e-12
+            assert same_bits(np.array(cyl_pairs(n, disk + calr)),
+                             np.concatenate(apart, axis=1))
 
     def test_empty_batch(self):
         assert all(a.shape == (0,) for a in cyl_pairs(3, []))
@@ -371,15 +404,30 @@ class TestCylPairs:
         assert str(array.value) == str(scalar.value)
 
 
-def test_selfcheck_counts_mismatched_entries(monkeypatch):
+def corner_arguments(count, seed=3):
+    """Random z with |z| in [7.6, 8] and Im z in [3.6, 4]: the corner of the
+    former Im z <= 4 J + iY strip, where the subtraction lost exp(2 Im z)."""
+    rng = np.random.default_rng(seed)
+    im = rng.uniform(3.6, 4.0, count)
+    r = rng.uniform(7.6, 8.0, count)
+    return [complex(math.sqrt(a * a - b * b), b) for a, b in zip(r, im)]
+
+
+@pytest.mark.slow
+def test_corner_within_envelope():
+    for z in corner_arguments(300):
+        assert_matches_mpmath(2, z, dps=40)
+
+
+def test_selfcheck_flags_a_perturbed_entry(monkeypatch):
     assert selfcheck.array_path_check().passed
     cyl_pairs_ = selfcheck.cyl_pairs
 
-    def one_ulp_off(n, zs):
-        j, jp, h, hp = cyl_pairs_(n, zs)
-        j[0] = complex(np.nextafter(j[0].real, math.inf), j[0].imag)
+    def perturbed(n, zs):
+        j, jp, h, hp = (a.copy() for a in cyl_pairs_(n, zs))
+        h[3] *= 1.0 + 1e-10
         return j, jp, h, hp
 
-    monkeypatch.setattr(selfcheck, "cyl_pairs", one_ulp_off)
+    monkeypatch.setattr(selfcheck, "cyl_pairs", perturbed)
     result = selfcheck.array_path_check(orders=(0, 7))
-    assert result.worst == 2.0 and not result.passed
+    assert result.worst == pytest.approx(1e-10, rel=0.01) and not result.passed
