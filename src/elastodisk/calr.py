@@ -28,6 +28,7 @@ from .potentials import layered_system, region_energy
 
 MIN_SCAN_STEPS = 8  # fewest real-p samples tune_p scans
 BOUND_SAMPLES = 128  # angles of the exterior-bound circle
+REFINE_TOL = 1e-9  # tune_p's final bracket, relative to the scan width
 
 
 class TuningFailedError(RuntimeError):
@@ -157,9 +158,10 @@ def tune_p(
 
     The scan is one batch: `layered_system` gets the scan's shells as one
     batched material, with the core and matrix blocks built once and
-    shared, and one `np.linalg.det` runs over the (steps, 8, 8) stack; each
-    |det| is `abs(det_m(cfg, p))` up to the rounding of the array
-    special-function path.  The refinement calls `det_m` point by point.
+    shared, and one `np.linalg.det` runs over the (steps, 8, 8) stack.  A
+    scan point has the same bits in any scan, and is the scalar-path
+    `abs(det_m(cfg, p))` to the rounding of the array special-function
+    path.  The golden-section refinement calls `det_m` point by point.
     """
     n0 = cfg.n0
     if lo is None:
@@ -188,7 +190,7 @@ def tune_p(
     x2 = a + invphi * (b - a)
     f1, f2 = abs(det_m(cfg, x1)), abs(det_m(cfg, x2))
     for _ in range(200):
-        if b - a < 1e-15 * max(1.0, abs(a)):
+        if b - a < REFINE_TOL * (hi - lo):
             break
         if f1 < f2:
             b, x2, f2 = x2, x1, f1

@@ -39,7 +39,8 @@ def _polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radius and angle of each point, rounded as math.hypot/math.atan2 round.
 
     The radius enters the low-frequency coefficients through a 1/omega^2
-    cancellation, so it is taken exactly as the pointwise path takes it.
+    cancellation that magnifies its last bit, so it is taken from
+    math.hypot, whatever numpy's hypot would round it to.
     """
     xy = pts.tolist()
     return (

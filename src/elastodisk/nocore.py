@@ -363,11 +363,11 @@ def sweep(
     only the failing points become error rows, with the error of their
     first failing source mode.
     A failure of the source data marks every row, and so does an empty
-    `source`.  Every row is the result of `solve_modes` at that point
-    alone, its energy the modes' disk `region_energy` summed from 0.0: bit
-    for bit when its batch took the scalar special-function path (see
-    `potentials._lookup`), within the two paths' agreement otherwise, and
-    on the array path with the same bits whatever else the batch holds.
+    `source`.  Every row has the same bits whatever else its batch holds,
+    so it is the one-point sweep's row bit for bit however the batch was
+    split; it is the result of `solve_modes` at that point alone, its
+    energy the modes' disk `region_energy` summed from 0.0, to the rounding
+    of the array special-function path (see `potentials.layered_system`).
     """
     if axis not in ("re_c", "im_c"):
         raise ValueError(f"axis must be 're_c' or 'im_c', got {axis!r}")

@@ -3,9 +3,9 @@
 On a circle the traction N-P operator maps the span of
 (e^{in theta} nu, e^{in theta} t) to itself; its 2x2 matrix in that basis is
 the exterior SLP traction matrix minus half the identity.  The closed-form
-eigensystem covers four degeneracy cases, including a genuine Jordan block
-that has no static counterpart, and tags matrices whose entries overflowed
-(high orders at low frequency) as non-finite instead.
+eigensystem covers five degeneracy cases, including Jordan blocks with no
+static counterpart (a2 = 0, or a2 != 0 at an exceptional point), and tags
+overflowed matrices (high orders at low frequency) as non-finite instead.
 """
 from __future__ import annotations
 
@@ -19,6 +19,10 @@ from .media import Convexity, LameParams, convexity_check
 from .potentials import traction_matrix
 
 _I2 = np.eye(2, dtype=complex)
+# |(a1 - b2)^2 + 4 a2 b1| <= C eps ||T||^2, C = 64, with a2 != 0 is an
+# exceptional point: secant-located ones read up to about 16 eps ||T||^2,
+# the modes 0-200 of the unit material at least 0.036 ||T||^2.
+_DEFECTIVE_TOL = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,7 @@ class NpModeMatrix:
 
 class EigCase(enum.Enum):
     GENERIC = "generic"                    # a2 != 0
+    DEFECTIVE = "defective"                # a2 != 0, zero discriminant
     DIAGONAL_DISTINCT = "diagonal_distinct"  # a2 = 0, a1 != b2
     DIAGONAL_EQUAL = "diagonal_equal"      # a2 = 0, a1 = b2, b1 = 0
     JORDAN = "jordan"                      # a2 = 0, a1 = b2, b1 != 0
@@ -60,9 +65,9 @@ class EigCase(enum.Enum):
 class NpEigenSystem:
     """Eigenvalues/eigenvectors of one mode matrix in the (nu, t) basis.
 
-    In the JORDAN case the second vector is the generalized eigenvector:
-    (T - xi1 I) p2 = p1.  In the NON_FINITE case eigenvalues and vectors
-    are nan.
+    In the JORDAN and DEFECTIVE cases the second vector is the generalized
+    eigenvector: (T - xi1 I) p2 = p1.  In the NON_FINITE case eigenvalues
+    and vectors are nan.
     """
 
     case_tag: EigCase
@@ -80,12 +85,13 @@ def np_matrix(p: LameParams, omega: float, R: float, n: int) -> NpModeMatrix:
 
 
 def np_eigensystem(m: NpModeMatrix, tol: float | None = None) -> NpEigenSystem:
-    """Closed-form eigensystem of the mode matrix, all four degeneracy cases.
+    """Closed-form eigensystem of the mode matrix, all five degeneracy cases.
 
     `tol` governs the a2 ~ 0 and a1 ~ b2 classifications; it defaults to
     1e-10 * ||T||.  Near-degenerate matrices above the threshold go through
     the generic branch with the principal square root (continuity over case
-    purity), so regression values are stable under parameter jitter.
+    purity), so regression values are stable under parameter jitter; only a
+    discriminant at rounding level (`_DEFECTIVE_TOL`) reads as defective.
     """
     t = m.entries
     a1, b1 = complex(t[0, 0]), complex(t[0, 1])
@@ -103,7 +109,13 @@ def np_eigensystem(m: NpModeMatrix, tol: float | None = None) -> NpEigenSystem:
         return NpEigenSystem(EigCase.NON_FINITE, (nan, nan), vecs, m.order)
 
     if abs(a2) > tol:
-        disc = cmath.sqrt(a1 * a1 - 2.0 * a1 * b2 + 4.0 * a2 * b1 + b2 * b2)
+        sq = a1 * a1 - 2.0 * a1 * b2 + 4.0 * a2 * b1 + b2 * b2
+        if abs(sq) <= _DEFECTIVE_TOL * scale * scale:
+            xi = 0.5 * (a1 + b2)
+            p1 = np.array([(a1 - b2) / (2.0 * a2), 1.0])
+            p2 = np.array([1.0 / a2, 0.0])
+            return NpEigenSystem(EigCase.DEFECTIVE, (xi, xi), (p1, p2), m.order)
+        disc = cmath.sqrt(sq)
         xi1 = 0.5 * (a1 + b2 - disc)
         xi2 = 0.5 * (a1 + b2 + disc)
         p1 = np.array([(a1 - b2 - disc) / (2.0 * a2), 1.0])

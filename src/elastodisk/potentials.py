@@ -16,12 +16,12 @@ system of any number of concentric interfaces from these blocks, and
 
 Every block comes from one kernel, `_slp_blocks`, in two stages: a scalar
 stage per material (wavenumbers, weights and entries in Python complex
-arithmetic, the cylinder values of a large batch from one `cyl_pairs` call)
-and an array stage over the whole batch (the weighted sums and the traction
-jump in numpy).  Every step works entry by entry, so a system's bits depend
-on its own entries and on which special-function path its batch took, never
-on the other systems of the batch; numpy agrees with itself for any length
-or stride as long as the operand order is kept.
+arithmetic; the cylinder values of a batch from one `cyl_pairs` call, of a
+single material from `cyl_pair`) and an array stage over the whole batch
+(the weighted sums and the traction jump in numpy).  Every step works entry
+by entry, so a batched system has the same bits in any batch, a batch of
+one included, and a single-material build is the scalar path bit for bit;
+numpy agrees with itself for any length or stride if operand order is kept.
 """
 from __future__ import annotations
 
@@ -34,14 +34,6 @@ from .media import LameParams, wavenumbers
 from .specfun import CylPair, cyl_pair, cyl_pairs
 
 _I2 = np.eye(2, dtype=complex)
-# Distinct arguments from which one `cyl_pairs` call beats scalar `cyl_pair`
-# misses.  Timed on a 2-CPU AVX-512 host, cold cache, best of 15: at order 5
-# with sweep-shell arguments (series branch) the array pass takes 0.7 ms
-# from 16 to 32 arguments against 0.66 ms scalar at 16 and 1.3 ms at 32; at
-# order 25 with CALR-scan arguments (both branches) 1.9 against 1.5 ms at
-# 24, 2.1 against 1.9 ms at 32 and 2.3 against 2.2 ms at 48.  4002
-# sweep-shell arguments take 11 ms in one pass.
-_ARRAY_MIN_ARGS = 32
 
 
 def _trace_entries(shear: bool, n: int, z: complex, f: complex, fp: complex):
@@ -103,23 +95,6 @@ def scalar_slp_mode(k: complex, R: float, n: int, x) -> complex:
     )
 
 
-def _lookup(n: int, args):
-    """A `cyl_pair`-like lookup (n, z) -> pair for every z in args.
-
-    From `_ARRAY_MIN_ARGS` distinct arguments up, one `cyl_pairs` call
-    computes them all (the scalar values to rounding, each with the same
-    bits in any batch); below that the cached scalar `cyl_pair` is the
-    lookup.  The choice rests on the batch alone, so a B = 1 caller always
-    gets the scalar values.
-    """
-    args = list(dict.fromkeys(args))
-    if len(args) < _ARRAY_MIN_ARGS:
-        return cyl_pair
-    values = (a.tolist() for a in cyl_pairs(n, args))
-    pairs = dict(zip(args, map(CylPair, *values)))
-    return lambda n, z: pairs[z]
-
-
 def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
     """Trace and traction blocks of the vector SLP for each link, per material.
 
@@ -129,12 +104,13 @@ def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
     of the traction on the SLP's own circle.  Returns (K, 4, 2), the 2x2
     trace over the 2x2 traction per link, or (B, K, 4, 2) for a sequence of
     B materials.  Scalar stage: every entry's `wavenumbers` first; for a
-    large batch, the cylinder values of every distinct k r over all entries
-    and radii from one `cyl_pairs` call (see `_lookup`), else one cached
-    `cyl_pair` per entry and distinct k r; then per link 12 Python scalars,
-    the weights (wq_nu, wq_t, wp_nu, wp_t) then the Q and P entries (trace
-    nu, t, traction nu, t), in a preallocated (B, K, 12) array.  Array
-    stage: the column of density c is wq_c Q + wp_c P, then - I.
+    sequence (any B, one included), the cylinder values of every distinct
+    k r over all entries and radii from one `cyl_pairs` call, each with the
+    same bits in any batch; for a single material, one cached `cyl_pair`
+    per distinct k r; then per link 12 Python scalars, the weights (wq_nu,
+    wq_t, wp_nu, wp_t) then the Q and P entries (trace nu, t, traction nu,
+    t), in a preallocated (B, K, 12) array.  Array stage: the column of
+    density c is wq_c Q + wp_c P, then - I.
     """
     batch = not isinstance(p, LameParams)
     for R, r, _, _ in links:
@@ -146,9 +122,12 @@ def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
     lookup = cyl_pair
     if batch:
         radii = [x for link in links for x in link[:2]]
-        lookup = _lookup(
-            n, [k * x for wn in wns for x in radii for k in (wn.ks, wn.kp)]
-        )
+        args = list(dict.fromkeys(
+            k * x for wn in wns for x in radii for k in (wn.ks, wn.kp)
+        ))
+        values = (a.tolist() for a in cyl_pairs(n, args))
+        table = dict(zip(args, map(CylPair, *values)))
+        lookup = lambda n, z: table[z]
     rows = np.empty((len(entries), len(links), 12), dtype=complex)
     for b, (q, wn) in enumerate(zip(entries, wns)):
         ks, kp = wn.ks, wn.kp
@@ -237,9 +216,10 @@ def layered_system(
     the result is the (B, 4L, 4L) stack.  A shared material's blocks are
     built once and broadcast over the stack; a batched material's blocks are
     built by the same kernel, entry by entry up to the array stage.  A
-    system's bits depend on its entries and on `_lookup`'s path alone: in a
-    batch below `_ARRAY_MIN_ARGS` distinct arguments it is bit for bit the
-    one its entries give alone, above it the same in any such batch.
+    batched system has the same bits in any batch, a batch of one included
+    (its cylinder values come from `cyl_pairs`); a build from single
+    materials alone is the scalar path bit for bit, and agrees with the
+    batched one to the rounding of the two special-function paths.
     """
     L = len(radii)
     if L < 1 or len(materials) != L + 1:

@@ -4,9 +4,9 @@ This is the composition the library used before its block kernel: per block,
 the Q/P source weights, the two eval-side coefficient vectors (each built
 with its own `cyl_pair` lookups) and a `column_stack` of the weighted sums;
 per layered system, the blocks placed one interface and one annulus at a
-time.  On the scalar special-function path the kernel must reproduce it bit
-for bit, so every expression keeps its operand order and its Python-scalar
-or numpy evaluation.
+time.  Built from single materials, on the scalar special-function path,
+the kernel must reproduce it bit for bit, so every expression keeps its
+operand order and its Python-scalar or numpy evaluation.
 
 `layered_system(..., magnitude=True)` is the same assembly over magnitudes:
 every sum of terms that carry cylinder values becomes the sum of the terms'
@@ -139,6 +139,18 @@ def array_path_bound(materials, radii, omega: float, n: int) -> np.ndarray:
     come from the array path: 2 CYL_GAP times its magnitude assembly."""
     mag = layered_system(materials, radii, omega, n, magnitude=True)
     return 2.0 * CYL_GAP * np.abs(mag)
+
+
+def assert_within_cylinder_gap(got, materials, radii, omega, n):
+    """got, a system built from array-path cylinder values, against the
+    reference on the scalar path: the same finite entries, and norm-wise
+    over them a gap within the norm of `array_path_bound`."""
+    want = layered_system(materials, radii, omega, n)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    bound = array_path_bound(materials, radii, omega, n)
+    gap = np.linalg.norm(np.where(finite, got - want, 0.0))
+    assert gap <= np.linalg.norm(np.where(finite, bound, 0.0))
 
 
 def _placed(materials, radii, omega: float, n: int, build, jump) -> np.ndarray:

@@ -1,17 +1,18 @@
 """The block kernel of `potentials` against the block-by-block reference.
 
-On the scalar special-function path every block and every layered system
-must equal the reference bit for bit (compared as uint64 views, so inf and
-nan entries count too), on a grid that reaches the overflowed rows of high
-order at low frequency.  Batches above `potentials._ARRAY_MIN_ARGS` take
-their cylinder values from the array path: their systems must stay within
-the reference's magnitude bound of it, and each has the same bits in any
-such batch.
+Built from single materials, every block and every layered system takes
+the scalar special-function path and must equal the reference bit for bit
+(compared as uint64 views, so inf and nan entries count too), on a grid
+that reaches the overflowed rows of high order at low frequency.  A
+batched material, of any size, takes its cylinder values from the array
+path: its systems must stay within the reference's magnitude bound of it,
+and each has the same bits in any batch, a batch of one included.
 """
 import numpy as np
 import pytest
 
 import block_reference as ref
+from block_reference import assert_within_cylinder_gap
 from conftest import KINDS, wave_entries
 from elastodisk import potentials
 from elastodisk.calr import recipe_config, shifted_shell
@@ -41,18 +42,6 @@ def assert_same_bits(got, want):
     got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def assert_within_cylinder_gap(got, materials, radii, omega, n):
-    """got, a system built from array-path cylinder values, against the
-    reference on the scalar path: the same finite entries, and norm-wise
-    over them a gap within the norm of `ref.array_path_bound`."""
-    want = ref.layered_system(materials, radii, omega, n)
-    finite = np.isfinite(want)
-    assert np.array_equal(np.isfinite(got), finite)
-    bound = ref.array_path_bound(materials, radii, omega, n)
-    gap = np.linalg.norm(np.where(finite, got - want, 0.0))
-    assert gap <= np.linalg.norm(np.where(finite, bound, 0.0))
 
 
 @pytest.fixture(autouse=True)
@@ -131,14 +120,21 @@ def test_incident_data_match_reference(name, n, omega):
 @pytest.mark.parametrize("omega", OMEGAS)
 @pytest.mark.parametrize("n", ORDERS)
 def test_layered_systems_match_reference(n, omega):
+    # single materials: the reference bit for bit; the same shells as one
+    # batch: within the array path's bound of it
     shells = list(MATERIALS.values())
     disk = layered_system((shells, P11), (1.0,), omega, n)
     core_shell = layered_system((P11, shells, P11), (0.8, 1.0), omega, n)
     for k, shell in enumerate(shells):
-        assert_same_bits(disk[k], ref.layered_system((shell, P11), (1.0,), omega, n))
-        assert_same_bits(
-            core_shell[k], ref.layered_system((P11, shell, P11), (0.8, 1.0), omega, n)
-        )
+        for materials, radii, stack in (
+            ((shell, P11), (1.0,), disk),
+            ((P11, shell, P11), (0.8, 1.0), core_shell),
+        ):
+            assert_same_bits(
+                layered_system(materials, radii, omega, n),
+                ref.layered_system(materials, radii, omega, n),
+            )
+            assert_within_cylinder_gap(stack[k], materials, radii, omega, n)
     three = (P11, shells[1], shells[3], P11)
     assert_same_bits(
         layered_system(three, (0.6, 0.8, 1.0), omega, n),
@@ -146,40 +142,18 @@ def test_layered_systems_match_reference(n, omega):
     )
 
 
-@pytest.mark.parametrize("radii, per_entry", [((1.0,), 2), ((0.8, 1.0), 4)])
-def test_one_pair_lookup_per_distinct_argument(monkeypatch, radii, per_entry):
-    # a batched entry looks each k r up once: two per radius it touches;
-    # the shared outer materials add their own lookups once per batch
-    looked_up, wavenumbers = [], []
-
-    def count_pairs(n, z):
-        looked_up.append(z)
-        return ref.cyl_pair(n, z)
-
-    def count_wavenumbers(p, omega):
-        wavenumbers.append(p)
-        return ref.wavenumbers(p, omega)
-
-    monkeypatch.setattr(potentials, "cyl_pair", count_pairs)
-    monkeypatch.setattr(potentials, "wavenumbers", count_wavenumbers)
-    shells = [P11.scaled(complex(-2.0 + 0.02 * k, 2.08e-9)) for k in range(7)]
-    shared = (P11,) * (len(radii) - 1)
-    layered_system((*shared, shells, P11), radii, 1.0, 5)
-    assert len(looked_up) == per_entry * len(shells) + 2 * len(radii)
-    assert len(wavenumbers) == len(shells) + len(radii)
-
-
-def array_batch(per_entry):
-    """Sweep shells enough for their distinct k r to take the array path."""
-    count = potentials._ARRAY_MIN_ARGS // per_entry + 1
+def sweep_shells(count):
+    """Disk-sweep shells around the contrast law's c = -2 (series branch)."""
     return [P11.scaled(complex(-2.05 + 0.2 * k / count, 2.08e-9)) for k in range(count)]
 
 
+@pytest.mark.parametrize("size", (1, 7, 17))
 @pytest.mark.parametrize("radii, per_entry", [((1.0,), 2), ((0.8, 1.0), 4)])
-def test_one_array_call_above_the_crossover(monkeypatch, radii, per_entry):
-    # every distinct k r of the batched entries goes into one cyl_pairs
-    # call; the shared materials still look theirs up one by one
-    scalar, batches = [], []
+def test_one_array_call_per_batch(monkeypatch, radii, per_entry, size):
+    # every distinct k r of the batched entries, two per radius each entry
+    # touches, goes into one cyl_pairs call whatever the batch size; the
+    # shared materials still look theirs up one by one, two per radius
+    scalar, batches, wavenumbers = [], [], []
     cyl_pairs = potentials.cyl_pairs
 
     def count_pairs(n, z):
@@ -190,25 +164,30 @@ def test_one_array_call_above_the_crossover(monkeypatch, radii, per_entry):
         batches.append(list(zs))
         return cyl_pairs(n, zs)
 
+    def count_wavenumbers(p, omega):
+        wavenumbers.append(p)
+        return ref.wavenumbers(p, omega)
+
     monkeypatch.setattr(potentials, "cyl_pair", count_pairs)
     monkeypatch.setattr(potentials, "cyl_pairs", count_arrays)
-    shells = array_batch(per_entry)
+    monkeypatch.setattr(potentials, "wavenumbers", count_wavenumbers)
+    shells = sweep_shells(size)
     shared = (P11,) * (len(radii) - 1)
     stack = layered_system((*shared, shells, P11), radii, 1.0, 5)
     assert len(batches) == 1
     (args,) = batches
     assert len(args) == len(set(args)) == per_entry * len(shells)
-    assert len(args) >= potentials._ARRAY_MIN_ARGS
     assert len(scalar) == 2 * len(radii)
+    assert len(wavenumbers) == len(shells) + len(radii)
     for k, shell in enumerate(shells):
         assert_within_cylinder_gap(stack[k], (*shared, shell, P11), radii, 1.0, 5)
 
 
 @pytest.mark.parametrize("n", ORDERS)
 def test_array_path_systems_match_reference(n):
-    # above the crossover: the sweep's disk shells (series branch) and a
-    # CALR scan's shells (Im k r > 3, the continued-fraction branch)
-    shells = array_batch(2)
+    # the sweep's disk shells (series branch) and a CALR scan's shells
+    # (Im k r > 3, the continued-fraction branch)
+    shells = sweep_shells(17)
     disk = layered_system((shells, P11), (1.0,), 1.0, n)
     for k, shell in enumerate(shells):
         assert_within_cylinder_gap(disk[k], (shell, P11), (1.0,), 1.0, n)
@@ -222,9 +201,9 @@ def test_array_path_systems_match_reference(n):
 @pytest.mark.parametrize("n", ORDERS)
 @pytest.mark.parametrize("radii, per_entry", [((1.0,), 2), ((0.8, 1.0), 4)])
 def test_array_path_rows_independent_of_the_batch(radii, per_entry, n):
-    # above the crossover a shell's system has the same bits whatever the
-    # other shells of its batch are and wherever it stands among them
-    shells = array_batch(per_entry)
+    # a shell's system has the same bits whatever the other shells of its
+    # batch are and wherever it stands among them, alone included
+    shells = sweep_shells(17)
     others = [P11.scaled(complex(0.2 + 0.01 * k, 1e-3)) for k in range(len(shells))]
     mixed = others[:5] + shells[::-1] + others[5:]
     shared = (P11,) * (len(radii) - 1)
@@ -232,3 +211,5 @@ def test_array_path_rows_independent_of_the_batch(radii, per_entry, n):
     other = layered_system((*shared, mixed, P11), radii, 1.0, n)
     for k, shell in enumerate(shells):
         assert_same_bits(other[mixed.index(shell)], stack[k])
+        alone = layered_system((*shared, [shell], P11), radii, 1.0, n)
+        assert_same_bits(alone[0], stack[k])

@@ -7,6 +7,7 @@ import pytest
 
 import block_reference as ref
 from conftest import incident_displacement, polar_to_cartesian
+from elastodisk import calr
 from elastodisk.calr import (
     CoreShellConfig,
     TuningFailedError,
@@ -103,6 +104,21 @@ class TestTuning:
         # by the scan half-width: about 1e-2 here
         assert tr.dip_ratio < 0.02
         assert tr.abs_det < 0.02 * np.median(tr.scan_abs_det)
+
+    def test_refinement_stops_at_the_scan_resolution(self, monkeypatch):
+        # the golden section stops at calr.REFINE_TOL of the scan width,
+        # finer than the dip floor can tell apart: at most 40 det_m calls
+        calls = []
+        real_det_m = calr.det_m
+
+        def counted(cfg, p, n=None):
+            calls.append(p)
+            return real_det_m(cfg, p, n)
+
+        monkeypatch.setattr(calr, "det_m", counted)
+        tr = tune_p(fig_config(), steps=241)
+        assert len(calls) <= 40
+        assert tr.p == pytest.approx(P_TUNED[25], abs=2e-5)
 
     def test_dip_floor_scales_with_delta(self):
         vals = []

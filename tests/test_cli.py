@@ -323,7 +323,8 @@ def test_unknown_source_mode_rejected(tmp_path, capsys):
 
 
 class TestShippedConfigs:
-    """Every config under configs/ runs to completion."""
+    """Every config under configs/ runs to completion, twice with the same
+    bytes: everything but the manifest is deterministic."""
 
     @pytest.mark.parametrize("name", [
         "spectrum_quasistatic", "resonance_re_sweep", "resonance_im_sweep",
@@ -331,9 +332,6 @@ class TestShippedConfigs:
         "calr_tuned", "field_core_shell",
     ])
     def test_config_runs(self, tmp_path, name):
-        import json
-        from pathlib import Path
-
         cfg = Path(__file__).resolve().parent.parent / "configs" / f"{name}.yaml"
         command = {
             "spectrum_quasistatic": "spectrum",
@@ -344,10 +342,18 @@ class TestShippedConfigs:
             "calr_tuned": "calr",
             "field_core_shell": "field",
         }[name]
-        out = tmp_path / name
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == 0 and manifest["outputs"]
+        runs = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == 0 and manifest["outputs"]
+            runs.append({
+                p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "manifest.json"
+            })
+        first, second = runs
+        assert first and first == second
 
 
 def test_malformed_source_entries_exit_2(tmp_path, capsys):

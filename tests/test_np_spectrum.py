@@ -63,6 +63,50 @@ class TestEigensystem:
         es = np_eigensystem(synthetic([[0.3, 1.0], [np.inf, 0.3]]))
         assert es.case_tag is EigCase.NON_FINITE
 
+    @pytest.mark.parametrize("n, omega, lam, xi", [
+        (2, 1.0, -1.19106 + 3.25034j, 0.0334017 - 0.1409487j),
+        (3, 3.4055, 0.728018 - 0.038501j, 0.3398801 - 0.1305776j),
+        (5, 5.6, 2.10465 + 1.42257j, 0.3569751 - 0.1525953j),
+    ], ids=["n2", "n3", "n5"])
+    def test_defective_at_exceptional_points(self, n, omega, lam, xi):
+        # a secant on the discriminant over complex lam (mu = 1, R = 1)
+        # from the 6-digit table values; the located matrix has a2 != 0
+        def disc(lam):
+            t = np_matrix(LameParams(lam, 1.0), omega, 1.0, n).entries
+            return (t[0, 0] - t[1, 1]) ** 2 + 4.0 * t[1, 0] * t[0, 1]
+
+        x0, x1 = lam, lam * (1.0 + 1e-6)
+        f0, f1 = disc(x0), disc(x1)
+        best = min((abs(f0), x0), (abs(f1), x1), key=lambda v: v[0])
+        for _ in range(40):
+            if f1 == f0:
+                break
+            x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
+            f0, f1 = f1, disc(x1)
+            best = min(best, (abs(f1), x1), key=lambda v: v[0])
+        lam = best[1]
+        m = np_matrix(LameParams(lam, 1.0), omega, 1.0, n)
+        t = m.entries
+        assert abs(m.a2) > 1e-2 * np.linalg.norm(t)
+        es = np_eigensystem(m)
+        assert es.case_tag is EigCase.DEFECTIVE
+        xi1, xi2 = es.eigenvalues
+        assert xi1 == xi2 and abs(xi1 - xi) < 1e-6
+        p1, p2 = es.eigenvectors
+        shifted = t - xi1 * np.eye(2)
+        assert np.max(np.abs(shifted @ p1)) < 1e-13 * np.linalg.norm(t)
+        assert np.max(np.abs(shifted @ p2 - p1)) < 1e-13 * np.max(np.abs(p1))
+
+    def test_unit_material_modes_not_defective(self):
+        # the spectrum benchmark's frequencies and a few more, modes 0-200;
+        # the overflowed rows are non-finite
+        omegas = (*np.geomspace(1e-3, 30.0, 6), 0.5, 1.0, 5.0, 20.0)
+        with np.errstate(all="ignore"):
+            for omega in omegas:
+                for n in range(201):
+                    es = np_eigensystem(np_matrix(P11, omega, 1.0, n))
+                    assert es.case_tag is not EigCase.DEFECTIVE
+
     def test_diagonal_distinct(self):
         es = np_eigensystem(synthetic([[0.3, 0.2], [0, 0.5]]))
         assert es.case_tag is EigCase.DIAGONAL_DISTINCT

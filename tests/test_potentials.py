@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from block_reference import assert_within_cylinder_gap
 from conftest import (
     KINDS,
     fd_lame_residual,
@@ -399,7 +400,9 @@ def test_mode_matrix_boundary_quadrature():
 
 
 class TestLayeredBatch:
-    """A batched material gives the stack of the systems its entries give alone."""
+    """A batched material gives the stack of the systems its entries give in
+    batches of one, and those of its single materials to the array path's
+    rounding."""
 
     SHELLS = [LameParams(-1.9 + 0.01j, -1.9 + 0.01j), LameParams(2.0, 0.5), P11]
 
@@ -408,14 +411,17 @@ class TestLayeredBatch:
         stack = layered_system((core, self.SHELLS, matrix), radii, 5.0, 7)
         assert stack.shape == (3, 8, 8)
         for got, shell in zip(stack, self.SHELLS):
-            assert np.array_equal(got, layered_system((core, shell, matrix), radii, 5.0, 7))
+            alone = layered_system((core, [shell], matrix), radii, 5.0, 7)
+            assert np.array_equal(got, alone[0])
+            assert_within_cylinder_gap(got, (core, shell, matrix), radii, 5.0, 7)
 
     def test_every_material_batched(self):
         outer = self.SHELLS[::-1]
         stack = layered_system((self.SHELLS, outer), (1.0,), 1.0, 5)
         assert stack.shape == (3, 4, 4)
         for got, p_in, p_out in zip(stack, self.SHELLS, outer):
-            assert np.array_equal(got, layered_system((p_in, p_out), (1.0,), 1.0, 5))
+            assert np.array_equal(got, layered_system(([p_in], [p_out]), (1.0,), 1.0, 5)[0])
+            assert_within_cylinder_gap(got, (p_in, p_out), (1.0,), 1.0, 5)
 
     @pytest.mark.parametrize("materials", [
         (SHELLS, SHELLS[:2]),  # batches of different lengths
