@@ -133,6 +133,19 @@ def det_m(cfg: CoreShellConfig, p: complex, n: int | None = None) -> complex:
     return complex(np.linalg.det(layered_system(*shifted.layers, cfg.omega, n)))
 
 
+def scan_interval(n0: int, lo: float | None = None,
+                  hi: float | None = None) -> tuple[float, float]:
+    """The real-p interval of `tune_p`'s scan, by default [-4/n0, 4/n0].
+
+    Raises ValueError unless lo < hi.
+    """
+    lo = -4.0 / n0 if lo is None else lo
+    hi = 4.0 / n0 if hi is None else hi
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo = {lo}, hi = {hi}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TuneResult:
     p: complex
@@ -151,7 +164,7 @@ def tune_p(
 ) -> TuneResult:
     """Coarse |det M| scan over real p plus golden-section refinement.
 
-    The search interval defaults to [-4/n0, 4/n0].  A scan whose minimum is
+    The search interval is `scan_interval(n0, lo, hi)`.  A scan whose minimum is
     not well below its median (ratio > min_dip_ratio) has no resonance dip
     and raises TuningFailedError; the real-axis dip depth scales with the
     loss delta, so low working modes need the threshold relaxed.
@@ -163,17 +176,13 @@ def tune_p(
     `abs(det_m(cfg, p))` to the rounding of the array special-function
     path.  The golden-section refinement calls `det_m` point by point.
     """
-    n0 = cfg.n0
-    if lo is None:
-        lo = -4.0 / n0
-    if hi is None:
-        hi = 4.0 / n0
+    lo, hi = scan_interval(cfg.n0, lo, hi)
     if steps < MIN_SCAN_STEPS:
         raise ValueError("steps too small for a meaningful scan")
     ps = np.linspace(lo, hi, steps)
     (core, _, matrix), radii = cfg.layers
     shells = [shifted_shell(cfg, p) for p in ps]
-    stack = layered_system((core, shells, matrix), radii, cfg.omega, n0)
+    stack = layered_system((core, shells, matrix), radii, cfg.omega, cfg.n0)
     vals = np.abs(np.linalg.det(stack))
     imin = int(np.argmin(vals))
     dip_ratio = float(vals[imin] / np.median(vals))

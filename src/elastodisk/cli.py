@@ -28,6 +28,7 @@ from .calr import (
     MIN_SCAN_STEPS,
     calr_energy,
     recipe_config,
+    scan_interval,
     solve_calr_mode,
     tune_p,
 )
@@ -62,6 +63,30 @@ def _cast(value, path: str, cast):
         raise ConfigError(f"key '{path}': {exc}") from exc
 
 
+def _integer(v) -> int:
+    """An int, or a float with an integral value, as an int."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _count(cfg: dict, path: str, least: int = 1, default=...) -> int:
+    """The integer at path, at least `least`."""
+    value = _get(cfg, path, _integer, default)
+    if value < least:
+        raise ConfigError(f"key '{path}' must be >= {least}")
+    return value
+
+
+def _positive(cfg: dict, path: str) -> float:
+    value = _get(cfg, path, float)
+    if not value > 0.0:
+        raise ConfigError(f"key '{path}' must be > 0, got {value!r}")
+    return value
+
+
 def _as_complex(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -70,26 +95,27 @@ def _as_complex(v) -> complex:
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
+def _annulus(cfg: dict) -> AnnulusGeometry:
+    radii = _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
+    try:
+        return AnnulusGeometry(*radii)
+    except ValueError as exc:
+        raise ConfigError(f"key 'geometry.r_inner': {exc}") from exc
+
+
 def _material(cfg: dict, path: str) -> LameParams:
     lam = _get(cfg, f"{path}.lam", _as_complex)
     mu = _get(cfg, f"{path}.mu", _as_complex)
     return LameParams(lam, mu)
 
 
-def _omega(cfg: dict) -> float:
-    omega = _get(cfg, "omega", float)
-    if not omega > 0.0:
-        raise ConfigError(f"key 'omega' must be > 0, got {omega!r}")
-    return omega
-
-
 def _modes(cfg: dict) -> list[int]:
     node = _get(cfg, "modes")
     if isinstance(node, dict):
-        start, stop = _get(cfg, "modes.start", int), _get(cfg, "modes.stop", int)
-        modes = list(range(start, stop + 1))
+        start = _get(cfg, "modes.start", _integer)
+        modes = list(range(start, _get(cfg, "modes.stop", _integer) + 1))
     elif isinstance(node, list):
-        modes = [int(v) for v in node]
+        modes = [_cast(v, f"modes[{i}]", _integer) for i, v in enumerate(node)]
     else:
         raise ConfigError("key 'modes' must be a list or {start, stop}")
     if not modes:
@@ -108,7 +134,7 @@ def _source(cfg: dict, path: str = "source") -> SourceModes:
             raise ConfigError(f"key '{key}' must be a mapping")
         if "n" not in t:
             raise ConfigError(f"missing required key '{key}.n'")
-        n = _cast(t["n"], f"{key}.n", int)
+        n = _cast(t["n"], f"{key}.n", _integer)
         k1 = _cast(t.get("kappa1", 0.0), f"{key}.kappa1", _as_complex)
         k2 = _cast(t.get("kappa2", 0.0), f"{key}.kappa2", _as_complex)
         try:
@@ -123,8 +149,8 @@ def _source(cfg: dict, path: str = "source") -> SourceModes:
 
 def _run_spectrum(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     p = _material(cfg, "materials.matrix")
-    omega = _omega(cfg)
-    radius = _get(cfg, "geometry.radius", float)
+    omega = _positive(cfg, "omega")
+    radius = _positive(cfg, "geometry.radius")
     rows = []
     for n in _modes(cfg):
         es = np_eigensystem(np_matrix(p, omega, radius, n))
@@ -146,25 +172,25 @@ def _run_spectrum(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
 
 def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     p = _material(cfg, "materials.matrix")
-    omega = _omega(cfg)
-    radius = _get(cfg, "geometry.radius", float)
+    omega = _positive(cfg, "omega")
+    radius = _positive(cfg, "geometry.radius")
     src = _source(cfg)
     axis = _get(cfg, "sweep.axis", str, choices={"re_c", "im_c"})
-    steps = _get(cfg, "sweep.steps", int)
-    if steps < 1:
-        raise ConfigError("key 'sweep.steps' must be >= 1")
+    steps = _count(cfg, "sweep.steps")
+    scale = _get(cfg, "sweep.scale", str, default="linear", choices={"linear", "log"})
+    start, stop = (_positive(cfg, key) if scale == "log" else _get(cfg, key, float)
+                   for key in ("sweep.start", "sweep.stop"))
     result = sweep(
         axis,
-        _get(cfg, "sweep.start", float),
-        _get(cfg, "sweep.stop", float),
+        start,
+        stop,
         steps,
         matrix=p,
         omega=omega,
         R=radius,
         source=src,
         c_other=_get(cfg, "sweep.c_other", float),
-        scale=_get(cfg, "sweep.scale", str, default="linear",
-                   choices={"linear", "log"}),
+        scale=scale,
     )
     rows = [
         (q.value, q.abs_psi11, q.energy, q.condition, q.residual)
@@ -194,13 +220,13 @@ def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
 
 def _field_object(cfg: dict) -> LayeredField:
     kind = _get(cfg, "field.kind", str, choices={"slp", "nocore", "calr"})
-    omega = _omega(cfg)
+    omega = _positive(cfg, "omega")
     if kind in ("slp", "nocore"):
         p = _material(cfg, "materials.matrix")
-        radius = _get(cfg, "geometry.radius", float)
+        radius = _positive(cfg, "geometry.radius")
     if kind == "slp":
         # the unit mode density on both sides of one circle in one material
-        n = _get(cfg, "field.n", int)
+        n = _get(cfg, "field.n", _integer)
         density = _get(cfg, "field.density", str, default="nu", choices={"nu", "t"})
         unit = [1.0, 0.0] if density == "nu" else [0.0, 1.0]
         phi = np.array([unit, unit], dtype=complex)
@@ -210,9 +236,7 @@ def _field_object(cfg: dict) -> LayeredField:
         src = _source(cfg)
         phis = {s.n: s.phi for s in solve_modes(shell, p, omega, radius, src)}
         return LayeredField((shell, p), (radius,), omega, phis, src)
-    geo = AnnulusGeometry(
-        _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
-    )
+    geo = _annulus(cfg)
     cs_cfg, p = _calr_config(cfg, geo, omega)
     if p is None:
         raise ConfigError(
@@ -225,9 +249,7 @@ def _field_object(cfg: dict) -> LayeredField:
 
 
 def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
-    rsteps = _get(cfg, "field.radii.steps", int)
-    if rsteps < 1:
-        raise ConfigError("key 'field.radii.steps' must be >= 1")
+    rsteps = _count(cfg, "field.radii.steps")
     start = _get(cfg, "field.radii.start", float)
     stop = _get(cfg, "field.radii.stop", float)
     radii = np.linspace(start, stop, rsteps)
@@ -235,9 +257,7 @@ def _run_field(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         raise ConfigError(
             f"key 'field.radii' must hold only positive radii, got {start}..{stop}"
         )
-    ntheta = _get(cfg, "field.thetas", int, default=64)
-    if ntheta < 1:
-        raise ConfigError("key 'field.thetas' must be >= 1")
+    ntheta = _count(cfg, "field.thetas", default=64)
     thetas = [2.0 * math.pi * k / ntheta for k in range(ntheta)]
     grid = eval_total_field(_field_object(cfg), polar_grid(radii, thetas))
     rows = []
@@ -276,7 +296,7 @@ def _calr_config(cfg: dict, geo: AnnulusGeometry, omega: float, p=None):
         _material(cfg, "materials.matrix"),
         _material(cfg, "materials.core"),
         omega,
-        _get(cfg, "calr.n0", int),
+        _count(cfg, "calr.n0"),
         p_tune=0.0 if p is None else p,
         delta=_get(cfg, "calr.delta", float, default=None),
     )
@@ -284,20 +304,22 @@ def _calr_config(cfg: dict, geo: AnnulusGeometry, omega: float, p=None):
 
 
 def _run_calr(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
-    geo = AnnulusGeometry(
-        _get(cfg, "geometry.r_inner", float), _get(cfg, "geometry.r_outer", float)
-    )
-    omega = _omega(cfg)
+    geo = _annulus(cfg)
+    omega = _positive(cfg, "omega")
     cs_cfg, p = _calr_config(cfg, geo, omega)
     scan_rows = None
     if p is None:
-        steps = _get(cfg, "calr.scan.steps", int, default=241)
-        if steps < MIN_SCAN_STEPS:
-            raise ConfigError(f"key 'calr.scan.steps' must be >= {MIN_SCAN_STEPS}")
+        steps = _count(cfg, "calr.scan.steps", MIN_SCAN_STEPS, default=241)
+        lo = _get(cfg, "calr.scan.lo", float, default=None)
+        hi = _get(cfg, "calr.scan.hi", float, default=None)
+        try:
+            lo, hi = scan_interval(cs_cfg.n0, lo, hi)
+        except ValueError as exc:
+            raise ConfigError(f"key 'calr.scan.lo': {exc}") from exc
         tuned = tune_p(
             cs_cfg,
-            lo=_get(cfg, "calr.scan.lo", float, default=None),
-            hi=_get(cfg, "calr.scan.hi", float, default=None),
+            lo=lo,
+            hi=hi,
             steps=steps,
             min_dip_ratio=_get(cfg, "calr.scan.min_dip_ratio", float, default=0.1),
         )

@@ -190,10 +190,9 @@ def traction_matrix(
     The exterior limit is the (g_1..g_4) matrix; the interior limit is the
     exterior one minus the identity (traction jump of the single layer).
     """
-    if side not in ("exterior_limit", "exterior", "interior_limit", "interior"):
+    if side not in ("exterior_limit", "interior_limit"):
         raise ValueError(f"unknown side {side!r}")
-    jump = side.startswith("interior")
-    return _slp_blocks(p, omega, n, [(R, R, True, jump)])[0, 2:]
+    return _slp_blocks(p, omega, n, [(R, R, True, side == "interior_limit")])[0, 2:]
 
 
 def layered_system(

@@ -86,8 +86,9 @@ def array_path_check(
 ) -> CheckResult:
     """Largest relative difference between `cyl_pairs` and `cyl_pair`.
 
-    The two paths run the same algorithms, in numpy and in Python complex
-    arithmetic, so they differ by rounding alone.  The grid covers both
+    One code runs in two arithmetics: each |z| <= 8 algorithm is written
+    once and runs in numpy for `cyl_pairs` and in Python complex arithmetic
+    for `cyl_pair`, so the paths differ by rounding alone.  The grid covers both
     |z| <= 8 branches, the Im z = 3 switch and the arguments beyond |z| = 8
     that the array path hands back to `cyl_pair`.  It stays off the corner
     |z| > 7, Im z ~ 3, where the J + iY cancellation lifts the difference

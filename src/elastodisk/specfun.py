@@ -32,17 +32,21 @@ Derivatives always come from the three-term ladder f_n' = f_{n-1} - n f_n/z,
 never from finite differences.  Orders so large that the true value
 over/underflows double precision propagate inf/0 in the IEEE way.
 
-`cyl_pair` is the scalar path, in Python complex arithmetic and cached.
-`cyl_pairs` is the array path: one numpy pass over many arguments at a
-common order for the two |z| <= 8 branches; arguments with |z| > 8 go
-through `cyl_pair` one at a time.  It runs the scalar algorithms, and every
-element's series, continued fraction and recurrence stops at the step
-where the scalar loop breaks, so an element's value depends on that
-argument alone, whatever else the batch holds.  numpy's complex arithmetic
-rounds differently from Python's (FMA on AVX-512 hosts), so the two paths
-agree to rounding, not bit for bit: within 1e-12 relative, except at the
-J + iY corner above, where the cancellation lifts the gap to about 3e-12.
-`elastodisk selfcheck` checks that agreement.
+One code runs in two arithmetics.  Each |z| <= 8 algorithm (the J series,
+the Y_0/Y_1 series, the continued fraction and the closure `_jh_series`)
+is written once and runs on a Python complex or on a numpy array.
+`cyl_pair` is the scalar path: Python complex arithmetic, cached, and each
+loop a plain `break`.  `cyl_pairs` is the array path: one numpy pass over
+many arguments at a common order for the two |z| <= 8 branches; arguments
+with |z| > 8 go through `cyl_pair` one at a time.  On an array the stop
+test is a mask, and `_Lanes` records the finished elements and carries
+only the live ones forward, so every element stops at the step where the
+scalar loop breaks and its value depends on that argument alone, whatever
+else the batch holds.  numpy's complex arithmetic rounds differently from
+Python's (FMA on AVX-512 hosts), so the two paths agree to rounding, not
+bit for bit: within 1e-12 relative, except at the J + iY corner above,
+where the cancellation lifts the gap to about 3e-12.  `elastodisk
+selfcheck` checks that agreement.
 
 All functions are pure and safe to call from any number of threads.
 """
@@ -85,52 +89,109 @@ def _checked(z) -> complex:
     return complex(z.real + 0.0, z.imag + 0.0)
 
 
-def _j_series(n: int, z: complex) -> complex:
-    """Ascending series for J_n, n >= 0.  Reliable for |z| <~ 10."""
-    if z == 0:
-        return 1.0 + 0j if n == 0 else 0.0 + 0j
+class _Lanes:
+    """Element bookkeeping for a loop run on an array (on a Python complex
+    `lanes` is False and the loop a plain `break`).
+
+    `carry` records the result of every element whose stop test is met and
+    drops it from the result and the state, so the loop goes on with the
+    live elements alone and each element stops at the step where the
+    scalar loop breaks.
+    """
+
+    def __init__(self, z: np.ndarray):
+        self.at = np.arange(z.size)
+        self.out = np.empty(z.size, dtype=complex)
+
+    def carry(self, done, result, *state):
+        """(whether no element is left, result, *state) of the live elements."""
+        if not done.any():
+            return False, result, *state
+        self.out[self.at[done]] = result[done]
+        keep = ~done
+        self.at = self.at[keep]
+        return not self.at.size, result[keep], *(x[keep] for x in state)
+
+    def close(self, result):
+        self.out[self.at] = result
+        return self.out
+
+
+def _j_sum(q: complex, m: int) -> complex:
+    """sum_k q^k / (k! (m+1)...(m+k)), the ascending series of J_m without
+    its (z/2)^m / m! prefactor, q = -z^2/4."""
+    lanes = isinstance(q, np.ndarray) and _Lanes(q)
+    term = total = 1.0 + 0j
+    for k in range(1, 80):
+        term = term * (q / (k * (m + k)))
+        total = total + term
+        done = abs(term) <= 1e-18 * abs(total)
+        if lanes:
+            done, total, term, q, m = lanes.carry(done, total, term, q, m)
+        if done:
+            break
+    return lanes.close(total) if lanes else total
+
+
+def _j_series(orders, z: complex, logs: complex) -> dict[int, complex]:
+    """J_n at each of the distinct orders n >= 0 from the ascending series,
+    given logs = log(z/2).  Reliable for 0 < |z| <~ 10.  On an array the
+    orders run as one loop, z tiled once per order."""
+    xp = np if isinstance(z, np.ndarray) else cmath
+    q = -0.25 * z * z
+    if xp is np:
+        m = np.repeat(np.asarray(orders, dtype=float), z.size)
+        sums = np.split(_j_sum(np.tile(q, len(orders)), m), len(orders))
+    else:
+        sums = [_j_sum(q, n) for n in orders]
     # (z/2)^n / n! via exp/lgamma so large n neither overflows nor loses
     # the phase; principal log is fine in our argument sector.
-    pref = cmath.exp(n * cmath.log(0.5 * z) - math.lgamma(n + 1))
-    q = -0.25 * z * z
-    term = 1.0 + 0j
-    total = term
-    for k in range(1, 80):
-        term *= q / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return pref * total
+    return {n: xp.exp(n * logs - math.lgamma(n + 1)) * s
+            for n, s in zip(orders, sums)}
 
 
-def _y01_series(z: complex, j0: complex, j1: complex) -> tuple[complex, complex]:
-    """Y_0 and Y_1 from their log expansions; companion to _j_series."""
-    lg = cmath.log(0.5 * z) + EULER_GAMMA
-    mq = -0.25 * z * z  # (-z^2/4)
+def _y01_series(z: complex, lg: complex, j0: complex,
+                j1: complex) -> tuple[complex, complex]:
+    """Y_0 and Y_1 from their log expansions, given lg = log(z/2) + gamma;
+    companion to _j_series."""
+    q = mq = -0.25 * z * z  # (-z^2/4)
     # Y0 = (2/pi) (lg*J0 - sum_{k>=1} h_k (-z^2/4)^k / (k!)^2)
+    lanes = isinstance(z, np.ndarray) and _Lanes(z)
     s = 0.0 + 0j
     t = 1.0 + 0j
     h = 0.0
     for k in range(1, 80):
-        t *= mq / (k * k)
+        t = t * (q / (k * k))
         h += 1.0 / k
-        s += h * t
-        if abs(t) <= 1e-18 * max(1.0, abs(s)):
+        s = s + h * t
+        at = abs(t)  # stop at |t| <= 1e-18 max(1, |s|)
+        done = (at <= 1e-18) | (at <= 1e-18 * abs(s))
+        if lanes:
+            done, s, t, q = lanes.carry(done, s, t, q)
+        if done:
             break
+    s = lanes.close(s) if lanes else s
     y0 = (2.0 / math.pi) * (lg * j0 - s)
     # Y1 = (2/pi) lg*J1 - 2/(pi z)
     #      - (1/pi) sum_{k>=0} (h_k + h_{k+1}) (z/2)(-z^2/4)^k / (k! (k+1)!)
+    lanes = isinstance(z, np.ndarray) and _Lanes(z)
+    q = mq
     r = 0.5 * z
     h_k = 0.0
     h_k1 = 1.0
     s1 = r * (h_k + h_k1)
     for k in range(1, 80):
-        r *= mq / (k * (k + 1))
+        r = r * (q / (k * (k + 1)))
         h_k += 1.0 / k
         h_k1 += 1.0 / (k + 1)
-        s1 += (h_k + h_k1) * r
-        if abs(r) <= 1e-18 * max(1.0, abs(s1)):
+        s1 = s1 + (h_k + h_k1) * r
+        ar = abs(r)  # stop at |r| <= 1e-18 max(1, |s1|)
+        done = (ar <= 1e-18) | (ar <= 1e-18 * abs(s1))
+        if lanes:
+            done, s1, r, q = lanes.carry(done, s1, r, q)
+        if done:
             break
+    s1 = lanes.close(s1) if lanes else s1
     y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * z) - s1 / math.pi
     return y0, y1
 
@@ -165,23 +226,30 @@ def _cf2_direct(z: complex) -> complex:
     """
     tiny = 1e-290
     # modified Lentz for K = a1/(b1 + a2/(b2 + ...))
-    f = tiny
-    c = f
+    lanes = isinstance(z, np.ndarray) and _Lanes(z)
+    x = z
+    f = c = tiny
     d = 0.0 + 0j
     for k in range(1, _MAX_CF_ITER + 1):
         a = (k - 0.5) ** 2
-        b = 2.0 * (z + k * 1j)
+        b = 2.0 * (x + k * 1j)
         d = b + a * d
-        if d == 0:
-            d = tiny
         c = b + a / c
-        if c == 0:
-            c = tiny
+        if lanes:  # Lentz's guard: a zero denominator becomes tiny
+            d[d == 0] = tiny
+            c[c == 0] = tiny
+        else:
+            d = d or tiny
+            c = c or tiny
         d = 1.0 / d
         delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
+        f = f * delta
+        done = abs(delta - 1.0) < 1e-16
+        if lanes:
+            done, f, c, d, x = lanes.carry(done, f, c, d, x)
+        if done:
             break
+    f = lanes.close(f) if lanes else f
     return -0.5 / z + 1j + (1j / z) * f
 
 
@@ -227,18 +295,26 @@ def _upward_top(nmax: int, z: complex,
     return f0, f1
 
 
+def _jh_series(nmax: int, z: complex, jiy: bool) -> tuple[complex, ...]:
+    """J_{nmax-1}, J_nmax, H_{nmax-1}, H_nmax for nmax >= 1, Im z >= 0 and
+    0 < |z| <= 8: H = J + iY when jiy (Im z <= 3), else H_0 from the
+    continued fraction closed with the Wronskian."""
+    logs = (np if isinstance(z, np.ndarray) else cmath).log(0.5 * z)
+    j = _j_series(list(dict.fromkeys((0, 1, nmax - 1, nmax))), z, logs)
+    if jiy:
+        y0, y1 = _y01_series(z, logs + EULER_GAMMA, j[0], j[1])
+        ya, yb = _upward_top(nmax, z, y0, y1)
+        return j[nmax - 1], j[nmax], j[nmax - 1] + 1j * ya, j[nmax] + 1j * yb
+    r2 = _cf2_direct(z)
+    h0 = (2j / (math.pi * z)) / (j[0] * r2 + j[1])  # J0' = -J1
+    return j[nmax - 1], j[nmax], *_upward_top(nmax, z, h0, -r2 * h0)
+
+
 def _jh_top(nmax: int, z: complex) -> tuple[complex, complex, complex, complex]:
     """J_{nmax-1}, J_nmax, H_{nmax-1}, H_nmax for nmax >= 1, Im z >= 0, z != 0."""
     absz = abs(z)
     if absz <= _SERIES_RADIUS:
-        j = {m: _j_series(m, z) for m in (0, 1, nmax - 1, nmax)}
-        if z.imag <= _JIY_IM_LIMIT:
-            y0, y1 = _y01_series(z, j[0], j[1])
-            ya, yb = _upward_top(nmax, z, y0, y1)
-            return j[nmax - 1], j[nmax], j[nmax - 1] + 1j * ya, j[nmax] + 1j * yb
-        r2 = _cf2_direct(z)
-        h0 = (2j / (math.pi * z)) / (j[0] * r2 + j[1])  # J0' = -J1
-        return j[nmax - 1], j[nmax], *_upward_top(nmax, z, h0, -r2 * h0)
+        return _jh_series(nmax, z, z.imag <= _JIY_IM_LIMIT)
 
     f, ja = _miller_down(nmax, z)
     if absz >= _ASYMP_RADIUS:
@@ -248,7 +324,7 @@ def _jh_top(nmax: int, z: complex) -> tuple[complex, complex, complex, complex]:
         if z.imag <= _JA_IM_LIMIT:
             scale = 1.0 / ja
         else:
-            scale = _j_series(0, z) / f[0]
+            scale = _j_series((0,), z, cmath.log(0.5 * z))[0] / f[0]
         j0 = scale * f[0]
         j1 = scale * f[1]
         r2 = _cf2_direct(z)
@@ -257,13 +333,17 @@ def _jh_top(nmax: int, z: complex) -> tuple[complex, complex, complex, complex]:
     return scale * f[nmax - 1], scale * f[nmax], *_upward_top(nmax, z, h0, h1)
 
 
+def _ladder(n: int, z: complex, j_lo, j_hi, h_lo, h_hi) -> tuple[complex, ...]:
+    """(J_n, J_n', H_n, H_n') from the rungs n-1 and n (0 and 1 when n = 0)."""
+    if n == 0:
+        return j_lo, -j_hi, h_lo, -h_hi
+    return j_hi, j_lo - (n / z) * j_hi, h_hi, h_lo - (n / z) * h_hi
+
+
 @lru_cache(maxsize=1 << 14)
 def _pair_upper(n: int, z: complex) -> CylPair:
     """(J_n, J_n', H_n, H_n') for n >= 0, Im z >= 0, z != 0."""
-    j_lo, j_hi, h_lo, h_hi = _jh_top(max(n, 1), z)
-    if n == 0:
-        return CylPair(j_lo, -j_hi, h_lo, -h_hi)
-    return CylPair(j_hi, j_lo - (n / z) * j_hi, h_hi, h_lo - (n / z) * h_hi)
+    return CylPair(*_ladder(n, z, *_jh_top(max(n, 1), z)))
 
 
 def cyl_pair(n: int, z) -> CylPair:
@@ -297,119 +377,6 @@ def bessel_j(n: int, z) -> complex:
     return -val if n < 0 and n % 2 == 1 else val
 
 
-# -- array path --------------------------------------------------------------
-
-
-def _loop(step, ks, *state):
-    """A scalar loop with a data-dependent `break`, run element by element.
-
-    For k in ks, step(k, *state) returns the new state and a mask of the
-    elements whose loop breaks at this k; those elements keep that state
-    and take no further step.  Returns state[0] per element.
-    """
-    live = np.arange(state[0].size)
-    out = np.full(live.size, np.nan, dtype=complex)
-    for k in ks:
-        state, done = step(k, *state)
-        if done.any():
-            out[live[done]] = state[0][done]
-            keep = ~done
-            live, state = live[keep], [x[keep] for x in state]
-            if not live.size:
-                return out
-    out[live] = state[0]
-    return out
-
-
-def _j_series_arr(orders, z: np.ndarray, logs: np.ndarray) -> dict[int, np.ndarray]:
-    """`_j_series` at each order for every element of z (|z| <= 8), given
-    logs = log(z/2)."""
-
-    def step(k, total, term, q, m):
-        term = term * (q / (k * (m + k)))
-        total = total + term
-        return (total, term, q, m), np.abs(term) <= 1e-18 * np.abs(total)
-
-    q = np.tile(-0.25 * z * z, len(orders))
-    m = np.repeat(np.asarray(orders, dtype=float), z.size)
-    one = np.ones(q.size, dtype=complex)
-    total = _loop(step, range(1, 80), one, one, q, m)
-    return {
-        n: np.exp(n * logs - math.lgamma(n + 1)) * t
-        for n, t in zip(orders, np.split(total, len(orders)))
-    }
-
-
-def _y01_series_arr(z, lg, j0, j1) -> tuple[np.ndarray, np.ndarray]:
-    """`_y01_series` for every element of z, given lg = log(z/2) + gamma."""
-    h = h_k = 0.0
-    h_k1 = 1.0
-
-    def y0_step(k, s, t, q):
-        nonlocal h
-        t = t * (q / (k * k))
-        h += 1.0 / k
-        s = s + h * t
-        return (s, t, q), np.abs(t) <= 1e-18 * np.fmax(np.abs(s), 1.0)
-
-    def y1_step(k, s1, r, q):
-        nonlocal h_k, h_k1
-        r = r * (q / (k * (k + 1)))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        s1 = s1 + (h_k + h_k1) * r
-        return (s1, r, q), np.abs(r) <= 1e-18 * np.fmax(np.abs(s1), 1.0)
-
-    mq = -0.25 * z * z
-    s = _loop(y0_step, range(1, 80), np.zeros_like(z), np.ones_like(z), mq)
-    y0 = (2.0 / math.pi) * (lg * j0 - s)
-    r = 0.5 * z
-    s1 = _loop(y1_step, range(1, 80), r * (h_k + h_k1), r, mq)
-    y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * z) - s1 / math.pi
-    return y0, y1
-
-
-def _cf2_direct_arr(z: np.ndarray) -> np.ndarray:
-    """`_cf2_direct` for every element of z."""
-    tiny = 1e-290
-
-    def step(k, f, c, d, z):
-        a = (k - 0.5) ** 2
-        b = 2.0 * (z + k * 1j)
-        d = b + a * d
-        d[d == 0] = tiny
-        c = b + a / c
-        c[c == 0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        return (f * delta, c, d, z), np.abs(delta - 1.0) < 1e-16
-
-    start = np.full(z.size, tiny, dtype=complex)
-    f = _loop(step, range(1, _MAX_CF_ITER + 1), start, start, np.zeros_like(z), z)
-    return -0.5 / z + 1j + (1j / z) * f
-
-
-def _jh_top_arr(nmax: int, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_jh_top` for arguments with Im z >= 0 and 0 < |z| <= 8."""
-    logs = np.log(0.5 * z)
-    j = _j_series_arr(list(dict.fromkeys((0, 1, nmax - 1, nmax))), z, logs)
-    h = np.empty((2, z.size), dtype=complex)
-    jiy = z.imag <= _JIY_IM_LIMIT
-    for sel in (jiy, ~jiy):
-        if not sel.any():
-            continue
-        zs, j0, j1 = z[sel], j[0][sel], j[1][sel]
-        if sel is jiy:
-            y0, y1 = _y01_series_arr(zs, logs[sel] + EULER_GAMMA, j0, j1)
-            ya, yb = _upward_top(nmax, zs, y0, y1)
-            h[:, sel] = j[nmax - 1][sel] + 1j * ya, j[nmax][sel] + 1j * yb
-        else:
-            r2 = _cf2_direct_arr(zs)
-            h0 = (2j / (math.pi * zs)) / (j0 * r2 + j1)
-            h[:, sel] = _upward_top(nmax, zs, h0, -r2 * h0)
-    return j[nmax - 1], j[nmax], h[0], h[1]
-
-
 def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """J_n, J_n', H_n, H_n' at every argument of zs, as four complex arrays.
 
@@ -429,14 +396,14 @@ def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     out = np.empty((4, z.size), dtype=complex)
     with np.errstate(all="ignore"):
         if small.any():
-            # the tails of `_pair_upper` and `cyl_pair`, on arrays
+            # `_pair_upper` and the tail of `cyl_pair`, on arrays
             ws = w[small]
-            j_lo, j_hi, h_lo, h_hi = _jh_top_arr(max(m, 1), ws)
-            if m == 0:
-                jv, jd, hv, hd = j_lo, -j_hi, h_lo, -h_hi
-            else:
-                jv, jd = j_hi, j_lo - (m / ws) * j_hi
-                hv, hd = h_hi, h_lo - (m / ws) * h_hi
+            top = np.empty((4, ws.size), dtype=complex)
+            jiy = ws.imag <= _JIY_IM_LIMIT
+            for sel in (jiy, ~jiy):
+                if sel.any():
+                    top[:, sel] = _jh_series(max(m, 1), ws[sel], sel is jiy)
+            jv, jd, hv, hd = _ladder(m, ws, *top)
             low = lower[small]
             jv = np.where(low, jv.conjugate(), jv)
             jd = np.where(low, jd.conjugate(), jd)

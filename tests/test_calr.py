@@ -140,6 +140,12 @@ class TestTuning:
         with pytest.raises(TuningFailedError):
             tune_p(cfg, steps=81)
 
+    @pytest.mark.parametrize("lo, hi", [(0.16, -0.16), (0.1, 0.1), (0.5, None)])
+    def test_scan_interval_must_run_upward(self, lo, hi):
+        # (0.5, None): above the default hi = 4/n0
+        with pytest.raises(ValueError, match="lo < hi"):
+            tune_p(fig_config(), lo=lo, hi=hi, steps=81)
+
     def test_scaling_invariance(self):
         # doubling both radii and halving the frequency leaves every k*r
         # argument unchanged, so the tuned offset is identical

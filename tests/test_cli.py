@@ -300,6 +300,26 @@ def test_nonpositive_omega_exits_2(tmp_path, capsys, command):
     ("field.radii.start", "field", "start: 0.3", "start: a"),
     ("calr.scan.steps", "calr", "steps: 81", "steps: many"),
     ("source.terms[0].n", "sweep", "n: 5", "n: five"),
+    ("modes[0]", "spectrum", "{start: 0, stop: 60}", "[x]"),
+    ("modes[1]", "spectrum", "{start: 0, stop: 60}", "[1, 2.7]"),
+    ("modes.stop", "spectrum", "stop: 60", "stop: 60.5"),
+    ("source.terms[0].n", "sweep", "n: 5", "n: 5.5"),
+    ("sweep.steps", "sweep", "steps: 101", "steps: 100.5"),
+    ("field.n", "field", "n: 5", "n: true"),
+    ("field.radii.steps", "field", "steps: 5", "steps: 4.5"),
+    ("field.thetas", "field", "thetas: 8", "thetas: 2.5"),
+    ("calr.n0", "calr", "n0: 25", "n0: 25.5"),
+    ("calr.scan.steps", "calr", "steps: 81", "steps: 81.5"),
+    ("geometry.radius", "spectrum", "radius: 1.0", "radius: 0.0"),
+    ("geometry.radius", "sweep", "radius: 1.0", "radius: -1.0"),
+    ("geometry.r_inner", "calr", "r_inner: 0.8", "r_inner: 1.0"),
+    ("calr.n0", "calr", "n0: 25", "n0: 0"),
+    ("sweep.start", "sweep", "c_other: 2.08e-9", "c_other: 2.08e-9\n  scale: log"),
+    ("sweep.stop", "sweep", "start: -2.05\n  stop: -1.85",
+     "start: 0.5\n  stop: 0.0\n  scale: log"),
+    ("calr.scan.lo", "calr", "{steps: 81}", "{steps: 81, lo: 0.16, hi: -0.16}"),
+    ("calr.scan.lo", "calr", "{steps: 81}", "{steps: 81, lo: 0.1, hi: 0.1}"),
+    ("calr.scan.lo", "calr", "{steps: 81}", "{steps: 81, lo: 0.5}"),  # above 4/n0
 ])
 def test_nested_key_errors_name_the_full_key(tmp_path, capsys, key, command, old, new):
     text = {"spectrum": SPECTRUM_YAML, "sweep": SWEEP_YAML,
@@ -308,6 +328,15 @@ def test_nested_key_errors_name_the_full_key(tmp_path, capsys, key, command, old
     cfg = write(tmp_path, "k.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "k")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_integral_float_counts_as_integer(tmp_path):
+    cfg = write(tmp_path, "i.yaml",
+                SPECTRUM_YAML.replace("{start: 0, stop: 60}", "[2.0, 3]"))
+    out = tmp_path / "i"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "spectrum.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["2", "3"]
 
 
 def test_selfcheck_passes(tmp_path, capsys):

@@ -170,6 +170,11 @@ class TestTraction:
         gi = traction_matrix(P11, 1.0, 1.0, 4, "interior_limit")
         assert np.array_equal(ge - gi, np.eye(2))
 
+    @pytest.mark.parametrize("side", ["interior", "exterior", "inside"])
+    def test_only_the_limit_names_are_sides(self, side):
+        with pytest.raises(ValueError, match="unknown side"):
+            traction_matrix(P11, 1.0, 1.0, 4, side)
+
     def test_zero_mode_off_diagonals(self):
         g = traction_matrix(P11, 1.0, 1.0, 0)
         assert g[1, 0] == 0 and g[0, 1] == 0

@@ -86,7 +86,8 @@ def former_series_j(n, z):
     """The ascending series that `bessel_j` once ran itself for |z| <= 8,
     conjugated into the lower half plane."""
     m = abs(n)
-    val = specfun._j_series(m, z if z.imag >= 0.0 else z.conjugate())
+    w = z if z.imag >= 0.0 else z.conjugate()
+    val = specfun._j_series((m,), w, cmath.log(0.5 * w))[m]
     if z.imag < 0.0:
         val = val.conjugate()
     return -val if n < 0 and m % 2 == 1 else val
