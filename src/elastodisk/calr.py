@@ -52,6 +52,10 @@ class CoreShellConfig:
     omega: float
     n0: int
 
+    def __post_init__(self):
+        if self.n0 < 1:
+            raise ValueError(f"the working mode n0 must be >= 1, got {self.n0}")
+
     @property
     def rho(self) -> float:
         """Radius ratio r_inner/r_outer (the loss scale is rho**n0)."""

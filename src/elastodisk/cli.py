@@ -180,36 +180,25 @@ def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
     scale = _get(cfg, "sweep.scale", str, default="linear", choices={"linear", "log"})
     start, stop = (_positive(cfg, key) if scale == "log" else _get(cfg, key, float)
                    for key in ("sweep.start", "sweep.stop"))
-    result = sweep(
-        axis,
-        start,
-        stop,
-        steps,
-        matrix=p,
-        omega=omega,
-        R=radius,
-        source=src,
-        c_other=_get(cfg, "sweep.c_other", float),
-        scale=scale,
-    )
-    rows = [
-        (q.value, q.abs_psi11, q.energy, q.condition, q.residual)
-        for q in result.points
-    ]
+    result = sweep(axis, start, stop, steps, matrix=p, omega=omega, R=radius,
+                   source=src, c_other=_get(cfg, "sweep.c_other", float), scale=scale)
+    cols = (result.value, result.abs_psi11, result.energy, result.condition,
+            result.residual)
+    rows = list(zip(*(col.tolist() for col in cols)))
     path = write_csv(
         out / "sweep.csv",
         ["axis_value", "abs_psi11", "energy", "condition", "residual"],
         rows,
     )
     manifest.add_output(path)
-    bad = [q for q in result.points if q.error]
+    bad = [(r[0], e) for r, e in zip(rows, result.error) if e]
     if bad:
         manifest.add_output(
-            write_csv(out / "sweep_errors.csv", ["axis_value", "error"],
-                      [(q.value, q.error) for q in bad])
+            write_csv(out / "sweep_errors.csv", ["axis_value", "error"], bad)
         )
-    peak = result.peak
-    manifest.data["peak"] = {"axis_value": peak.value, "abs_psi11": peak.abs_psi11}
+    manifest.data["health"] = result.health
+    peak = rows[result.peak]
+    manifest.data["peak"] = {"axis_value": peak[0], "abs_psi11": peak[1]}
     if args.svg:
         manifest.add_output(
             write_line_svg(out / "sweep.svg", [r[0] for r in rows],

@@ -3,14 +3,16 @@ mode-expanded incident potential.
 
 Per angular mode n the two transmission conditions on the circle reduce to a
 4x4 complex system for the interior/exterior layer densities: the one-interface
-case of `potentials.layered_system`.  `solve_mode` is the dense solve with
-residual and condition diagnostics for every layered system, the core-shell
-one included.
+case of `potentials.layered_system`.  `_solve_stack` is the one dense solve
+with residual and condition diagnostics, for a stack of layered systems of
+any size: `solve_mode` is its stack of one, for every layered system, the
+core-shell one included, and `sweep` solves each source mode's stack of
+sweep points with it and returns the rows as columns (`SweepResult`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,28 +165,44 @@ class ModeSolution:
         return self.phi[1]
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """2-norms over the last axis, each in the arithmetic `np.linalg.norm`
+    uses for one flat vector: sqrt(re . re + im . im), each dot a matmul of
+    a row by a column."""
+    re, im = a.real, a.imag
+    dots = re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None]
+    return np.sqrt(dots[..., 0, 0])
+
+
+def _solve_stack(stack: np.ndarray, rhs: np.ndarray):
+    """Solutions (B, 4L), conditions (B,) and residuals (B,) of a
+    (B, 4L, 4L) stack sharing one right-hand side: one `np.linalg.solve`,
+    one `np.linalg.cond` and one stacked matmul for the residual vectors.
+
+    The residual of a row is ||M x - b|| / (||M||_F ||x|| + ||b||), or
+    ||M x - b|| when that scale is 0.  Every row has the bits it has in a
+    stack of one, which is `solve_mode`.  rhs enters as a (1, 4L, 1) stack
+    of columns, which numpy 1.x and 2.x both broadcast over the batch.  A
+    singular row raises LinAlgError for the whole stack.
+    """
+    sol = np.linalg.solve(stack, rhs[None, :, None])[..., 0]
+    res = _norms((stack @ sol[..., None])[..., 0] - rhs)
+    scale = _norms(stack.reshape(len(stack), -1)) * _norms(sol) + _norms(rhs)
+    np.divide(res, scale, out=res, where=scale > 0)
+    return sol, np.linalg.cond(stack), res
+
+
 def solve_mode(system: np.ndarray, rhs: np.ndarray, n: int = 0) -> ModeSolution:
-    """Dense partial-pivoting solve with residual and condition diagnostics.
+    """Dense partial-pivoting solve with residual and condition diagnostics:
+    `_solve_stack` of the stack of one.
 
     A condition estimate beyond 1e14 sets the near-singular flag: that is
     the resonance signal, not a failure.
     """
-    sol = np.linalg.solve(system, rhs)
-    cond = float(np.linalg.cond(system))
-    return ModeSolution(
-        n=n,
-        system=system,
-        phi=sol.reshape(-1, 2),
-        residual=_residual(system, sol, rhs),
-        condition=cond,
-        near_singular=cond > CONDITION_NEAR_SINGULAR,
-    )
-
-
-def _residual(system: np.ndarray, sol: np.ndarray, rhs: np.ndarray) -> float:
-    res = np.linalg.norm(system @ sol - rhs)
-    scale = np.linalg.norm(system) * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    return float(res / scale) if scale > 0 else float(res)
+    sol, cond, res = _solve_stack(system[None], rhs)
+    cond = float(cond[0])
+    return ModeSolution(n, system, sol[0].reshape(-1, 2), float(res[0]), cond,
+                        cond > CONDITION_NEAR_SINGULAR)
 
 
 def solve_modes(
@@ -205,42 +223,64 @@ def solve_modes(
     return out
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    c: complex
-    abs_psi11: float
-    energy: float
-    condition: float
-    residual: float
-    error: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep as columns, one entry per axis point, in axis order.
+
+    `value` is a point's axis value and `c` its contrast; `abs_psi11`,
+    `energy`, `condition` and `residual` are its diagnostics, NaN on an
+    error row; `error` is the repr of a row's failure, "" for a healthy row.
+    """
+
     axis: str
-    points: list[SweepPoint] = field(default_factory=list)
+    value: np.ndarray
+    c: np.ndarray
+    abs_psi11: np.ndarray
+    energy: np.ndarray
+    condition: np.ndarray
+    residual: np.ndarray
+    error: list[str]
 
     @property
-    def peak(self) -> SweepPoint:
-        ok = [p for p in self.points if not p.error]
-        if not ok:
+    def ok(self) -> np.ndarray:
+        """Mask of the healthy rows."""
+        return np.array([not e for e in self.error], dtype=bool)
+
+    @property
+    def peak(self) -> int:
+        """Index of the first healthy row of largest |psi11|."""
+        rows = np.flatnonzero(self.ok)
+        if not len(rows):
             raise RuntimeError("sweep produced no valid points")
-        return max(ok, key=lambda p: p.abs_psi11)
+        return int(rows[np.argmax(self.abs_psi11[rows])])
+
+    @property
+    def health(self) -> dict:
+        """The number of error rows; of the healthy rows, the number whose
+        condition exceeds CONDITION_NEAR_SINGULAR and the largest condition
+        and residual (-inf when no row is healthy)."""
+        ok = self.ok
+        cond = self.condition[ok]
+        return {
+            "error_rows": int(np.count_nonzero(~ok)),
+            "near_singular_rows": int(np.count_nonzero(cond > CONDITION_NEAR_SINGULAR)),
+            "worst_condition": float(np.max(cond, initial=-math.inf)),
+            "worst_residual": float(np.max(self.residual[ok], initial=-math.inf)),
+        }
 
 
 def _axis_values(start: float, stop: float, steps: int, scale: str) -> np.ndarray:
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if scale not in ("linear", "log"):
+        raise ValueError(f"unknown scale {scale!r}")
+    if scale == "log" and (start <= 0 or stop <= 0):
+        raise ValueError("log-scaled sweeps need positive endpoints")
     if steps == 1:
         return np.array([start], dtype=float)
     if scale == "log":
-        if start <= 0 or stop <= 0:
-            raise ValueError("log-scaled sweeps need positive endpoints")
         return np.logspace(math.log10(start), math.log10(stop), steps)
-    if scale == "linear":
-        return np.linspace(start, stop, steps)
-    raise ValueError(f"unknown scale {scale!r}")
+    return np.linspace(start, stop, steps)
 
 
 def _batched(fn, ids: np.ndarray, errors: dict[int, str]):
@@ -275,65 +315,6 @@ def _batched(fn, ids: np.ndarray, errors: dict[int, str]):
     return ids[kept], tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _solve_stack(stack: np.ndarray, rhs: np.ndarray):
-    """Solutions (B, 4L) and conditions (B,) of a (B, 4L, 4L) stack sharing
-    one right-hand side: one `np.linalg.solve` and one `np.linalg.cond`,
-    row k bit for bit what `solve_mode(stack[k], rhs)` computes.  rhs enters
-    as a (1, 4L, 1) stack of columns, which numpy 1.x and 2.x both
-    broadcast over the batch.  A singular row raises LinAlgError for the
-    whole stack."""
-    sol = np.linalg.solve(stack, rhs[None, :, None])[..., 0]
-    return sol, np.linalg.cond(stack)
-
-
-def _solve_term(shells, matrix, omega, R, term, rhs, ids, errors):
-    """One source mode at the rows `ids`: (rows kept, per-row diagnostics).
-
-    The diagnostics of a row are its region-0 energy (`region_energy` of
-    the disk), |psi11|, condition and residual, the last three computed as
-    `solve_mode` computes them for that row alone.
-    """
-    batch = shells[ids]
-    ids, built = _batched(
-        lambda sel: (layered_system((batch[sel], matrix), (R,), omega, term.n),),
-        ids, errors,
-    )
-    if built is None:
-        return ids, []
-    (stack,) = built
-    ids, solved = _batched(
-        lambda sel: (stack[sel], *_solve_stack(stack[sel], rhs)), ids, errors
-    )
-    if solved is None:
-        return ids, []
-    stack, sol, cond = solved
-    return ids, [
-        (region_energy(s, x.reshape(-1, 2), (R,), 0), abs(x[0]), float(c),
-         _residual(s, x, rhs))
-        for s, x, c in zip(stack, sol, cond)
-    ]
-
-
-def _sweep_point(v: float, c: complex, diags: list, error: str) -> SweepPoint:
-    """The row of one sweep point from its per-mode diagnostics, in mode
-    order: the energy summed from 0.0 over the modes, the rest their
-    maxima over the modes.  A point with no modes, or with an error, is an
-    error row."""
-    nan = math.nan
-    if not error:
-        try:
-            energy = 0.0
-            for d in diags:
-                energy += d[0]
-            return SweepPoint(
-                float(v), c, max(d[1] for d in diags), energy,
-                max(d[2] for d in diags), max(d[3] for d in diags),
-            )
-        except ValueError as exc:
-            error = repr(exc)
-    return SweepPoint(float(v), c, nan, nan, nan, nan, error)
-
-
 def sweep(
     axis: str,
     start: float,
@@ -357,17 +338,20 @@ def sweep(
 
     The sweep points form one batch: the source data and, per source mode,
     the matrix-material blocks are built once, the shells enter
-    `layered_system` as one batched material, and the stack is solved with
-    one `np.linalg.solve` and one `np.linalg.cond`.  When the batched build
-    or solve fails, it is redone on halves of the batch, recursively, so
-    only the failing points become error rows, with the error of their
-    first failing source mode.
-    A failure of the source data marks every row, and so does an empty
-    `source`.  Every row has the same bits whatever else its batch holds,
-    so it is the one-point sweep's row bit for bit however the batch was
-    split; it is the result of `solve_modes` at that point alone, its
-    energy the modes' disk `region_energy` summed from 0.0, to the rounding
-    of the array special-function path (see `potentials.layered_system`).
+    `layered_system` as one batched material, and `_solve_stack`, the path
+    of `solve_mode`, solves and diagnoses the stack.  When the batched
+    build or solve fails, it is redone on halves of the batch, recursively,
+    so only the failing points become error rows, with the error of their
+    first failing source mode.  A failure of the source data marks every
+    row, and so does an empty `source`.
+
+    A row's energy is its modes' disk `region_energy` summed from 0.0 in
+    mode order, its |psi11|, condition and residual their maxima over the
+    modes.  Every row has the same bits whatever else its batch holds, so
+    it is the one-point sweep's row bit for bit however the batch was
+    split; it is the result of `solve_modes` at that point alone to the
+    rounding of the array special-function path (see
+    `potentials.layered_system`).
     """
     if axis not in ("re_c", "im_c"):
         raise ValueError(f"axis must be 're_c' or 'im_c', got {axis!r}")
@@ -387,18 +371,32 @@ def sweep(
     except (ValueError, ArithmeticError) as exc:
         errors.update((i, repr(exc)) for i in ids)
         ids = ids[:0]
-    diags: list[list] = [[] for _ in cs]  # per row, per mode, in mode order
+    if not source.terms:
+        errors.update((i, repr(ValueError("no source modes"))) for i in ids)
+    energy = np.zeros(len(cs))
+    maxima = np.full((3, len(cs)), -math.inf)  # |psi11|, condition, residual
     for term in source.terms:
         if not len(ids):
             break
-        rhs = np.concatenate(data[term.n])
-        ids, rows = _solve_term(shells, matrix, omega, R, term, rhs, ids, errors)
-        for i, d in zip(ids, rows):
-            diags[i].append(d)
+        batch, rhs = shells[ids], np.concatenate(data[term.n])
+        ids, built = _batched(
+            lambda sel: (layered_system((batch[sel], matrix), (R,), omega, term.n),),
+            ids, errors,
+        )
+        if built is None:
+            break
+        ids, solved = _batched(
+            lambda sel: (built[0][sel], *_solve_stack(built[0][sel], rhs)), ids, errors
+        )
+        if solved is None:
+            break
+        stack, sol, cond, res = solved
+        energy[ids] += region_energy(stack, sol.reshape(len(ids), -1, 2), (R,), 0)
+        psi11 = np.hypot(sol[:, 0].real, sol[:, 0].imag)
+        maxima[:, ids] = np.maximum(maxima[:, ids], [psi11, cond, res])
+    bad = list(errors)
+    energy[bad] = maxima[:, bad] = math.nan
     return SweepResult(
-        axis=axis,
-        points=[
-            _sweep_point(v, c, d, errors.get(i, ""))
-            for i, (v, c, d) in enumerate(zip(values, cs, diags))
-        ],
+        axis, values, np.array(cs), maxima[0], energy, maxima[1], maxima[2],
+        [errors.get(i, "") for i in range(len(cs))],
     )

@@ -247,7 +247,7 @@ def layered_system(
 
 def region_energy(
     system: np.ndarray, densities: np.ndarray, radii: Sequence[float], k: int
-) -> float:
+) -> float | np.ndarray:
     """Im of the boundary form of bounded region k of a solved layered system.
 
     2 pi r Im <traction, conj(trace)> on the region's outer circle minus the
@@ -256,15 +256,20 @@ def region_energy(
     densities (psi_{k-1}^out, psi_k^in): row block k on the outer circle,
     row block k-1, where they enter negated, on the inner one.  Mode
     orthogonality keeps the circle integrals exact.
+
+    Stacks: (..., 4L, 4L) systems with (..., 2L, 2) densities give one
+    energy per system, a float for one system.  The products are matmuls in
+    one operand order, so a system's energy has the same bits in any stack.
     """
     if not 0 <= k < len(radii):
         raise ValueError("region index must name a bounded region")
-    x = np.ravel(densities)
     lo, hi = max(4 * k - 2, 0), 4 * k + 2
+    x = np.reshape(densities, (*np.shape(densities)[:-2], -1, 1))[..., lo:hi, :]
     total = 0.0
     for i, sign in ((k, 1.0), (k - 1, -1.0)):
         if i >= 0:
-            rows = system[4 * i : 4 * i + 4, lo:hi]
-            u, w = rows[:2] @ x[lo:hi], rows[2:] @ x[lo:hi]
-            total += sign * 2.0 * math.pi * radii[i] * float(np.imag(np.vdot(u, w)))
-    return total
+            rows = system[..., 4 * i : 4 * i + 4, lo:hi]
+            u, w = rows[..., :2, :] @ x, rows[..., 2:, :] @ x
+            uw = np.swapaxes(u.conj(), -1, -2) @ w
+            total += sign * 2.0 * math.pi * radii[i] * uw[..., 0, 0].imag
+    return total if np.ndim(total) else float(total)

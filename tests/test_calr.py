@@ -140,6 +140,12 @@ class TestTuning:
         with pytest.raises(TuningFailedError):
             tune_p(cfg, steps=81)
 
+    @pytest.mark.parametrize("n0", [0, -3])
+    def test_working_mode_must_be_positive(self, n0):
+        # tune_p's default scan is [-4/n0, 4/n0]: no structure gets that far
+        with pytest.raises(ValueError, match="n0"):
+            tune_p(recipe_config(GEO, P11, P11, OMEGA, n0))
+
     @pytest.mark.parametrize("lo, hi", [(0.16, -0.16), (0.1, 0.1), (0.5, None)])
     def test_scan_interval_must_run_upward(self, lo, hi):
         # (0.5, None): above the default hi = 4/n0

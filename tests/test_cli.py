@@ -7,6 +7,7 @@ import pytest
 
 from elastodisk.artifacts import ManifestWriter, write_json
 from elastodisk.cli import main
+from elastodisk.nocore import CONDITION_NEAR_SINGULAR
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -149,6 +150,24 @@ class TestSweepCommand:
                     SWEEP_YAML.replace("steps: 101", "steps: 0"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "z0")]) == 2
         assert "sweep.steps" in capsys.readouterr().err
+
+    def test_manifest_health_from_the_columns(self, tmp_path):
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "resonance_im_sweep.yaml"
+        out = tmp_path / "im"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=_reject_constant)
+        lines = (out / "sweep.csv").read_text().splitlines()[1:]
+        condition, residual = zip(*(map(float, r.split(",")[3:]) for r in lines))
+        assert manifest["health"] == {
+            "error_rows": 0,
+            "near_singular_rows": sum(c > CONDITION_NEAR_SINGULAR for c in condition),
+            "worst_condition": max(condition),
+            "worst_residual": max(residual),
+        }
+        # the loss sweep passes the resonance: its worst row is ill-conditioned
+        assert manifest["health"]["worst_condition"] > 1e10
+        assert not (out / "sweep_errors.csv").exists()
 
     def test_single_step(self, tmp_path):
         cfg = write(tmp_path, "one.yaml",

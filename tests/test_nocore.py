@@ -342,22 +342,36 @@ def diagnostic_bounds(c: complex, source: SourceModes):
     return d_psi, d_energy, d_cond
 
 
+def row_bits(res, i):
+    """Row i of a sweep: its error and the bits of every column, as uint64
+    views, so NaN rows compare too."""
+    cols = (res.value, res.c, res.abs_psi11, res.energy, res.condition, res.residual)
+    return res.error[i], [col[i : i + 1].view(np.uint64).tolist() for col in cols]
+
+
+def residual_oracle(system, sol, rhs) -> float:
+    """The per-system residual formula of the solve before it was stacked."""
+    res = np.linalg.norm(system @ sol - rhs)
+    scale = np.linalg.norm(system) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    return float(res / scale) if scale > 0 else float(res)
+
+
 class TestSweep:
     def test_single_step_equals_point_solve(self):
         res = sweep("re_c", -1.9, -1.9, 1, matrix=P11, omega=1.0, R=1.0,
                     source=SourceModes.single(5, 1.0, 0.0), c_other=2.08e-9)
-        assert len(res.points) == 1
+        assert len(res.value) == 1
         direct = solve_modes(P11.scaled(complex(-1.9, 2.08e-9)), P11, 1.0, 1.0,
                              SourceModes.single(5, 1.0, 0.0))
-        assert res.points[0].abs_psi11 == pytest.approx(abs(direct[0].psi1[0]))
+        assert res.abs_psi11[0] == pytest.approx(abs(direct[0].psi1[0]))
 
     def test_errors_recorded_in_row(self):
         # omega <= 0 canned inside a point cannot happen; force failure via a
         # degenerate material in the sweep by passing mu=0 contrast c=0
         res = sweep("re_c", 0.0, 0.0, 1, matrix=P11, omega=1.0, R=1.0,
                     source=SourceModes.single(5, 1.0, 0.0), c_other=0.0)
-        assert res.points[0].error != ""
-        assert math.isnan(res.points[0].abs_psi11)
+        assert res.error[0] != ""
+        assert math.isnan(res.abs_psi11[0])
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only numeric failures become row errors
@@ -373,36 +387,43 @@ class TestSweep:
     RE_C = dict(matrix=P11, omega=1.0, R=1.0, source=TWO_MODES, c_other=0.0)
 
     @classmethod
-    def assert_same_as_one_point_sweep(cls, q):
-        """Every field of row q has the bits of its one-point sweep's row."""
-        (alone,) = sweep("re_c", q.value, q.value, 1, **cls.RE_C).points
-        assert repr(q) == repr(alone)
+    def assert_same_as_one_point_sweep(cls, res, i):
+        """Every column of row i has the bits of its one-point sweep's row."""
+        alone = sweep("re_c", res.value[i], res.value[i], 1, **cls.RE_C)
+        assert row_bits(res, i) == row_bits(alone, 0)
 
     @classmethod
     def assert_rows_match_point_solves(cls, res, errors):
         """Healthy rows equal their one-point sweeps bit for bit, and the
         per-point solve_modes + dissipation_energy within the first-order
         bounds of the array special-function path."""
-        for q in res.points:
-            if q.value in errors:
-                assert q.error and math.isnan(q.abs_psi11)
+        for i, value in enumerate(res.value):
+            if value in errors:
+                assert res.error[i] and math.isnan(res.abs_psi11[i])
                 continue
-            assert q.error == ""
-            cls.assert_same_as_one_point_sweep(q)
-            sols = solve_modes(P11.scaled(q.c), P11, 1.0, 1.0, cls.TWO_MODES)
-            got = (q.abs_psi11, q.energy, q.condition)
+            assert res.error[i] == ""
+            cls.assert_same_as_one_point_sweep(res, i)
+            c = complex(res.c[i])
+            sols = solve_modes(P11.scaled(c), P11, 1.0, 1.0, cls.TWO_MODES)
+            got = (res.abs_psi11[i], res.energy[i], res.condition[i])
             want = (max(abs(s.psi1[0]) for s in sols), dissipation_energy(sols, 1.0),
                     max(s.condition for s in sols))
-            for a, b, bound in zip(got, want, diagnostic_bounds(q.c, cls.TWO_MODES)):
+            for a, b, bound in zip(got, want, diagnostic_bounds(c, cls.TWO_MODES)):
                 assert abs(a - b) <= bound
-            assert max(q.residual, *(s.residual for s in sols)) < 1e-13
+            assert max(res.residual[i], *(s.residual for s in sols)) < 1e-13
 
     def test_degenerate_point_inside_the_batch(self):
         # c = 0 makes the shell's wavenumbers undefined: that row alone fails
         res = sweep("re_c", -1.0, 1.0, 5, **self.RE_C)
-        assert [q.value for q in res.points] == [-1.0, -0.5, 0.0, 0.5, 1.0]
-        assert "DegenerateMaterialError" in res.points[2].error
+        assert res.value.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert "DegenerateMaterialError" in res.error[2]
         self.assert_rows_match_point_solves(res, {0.0})
+        healthy = [0, 1, 3, 4]
+        assert res.health == {
+            "error_rows": 1, "near_singular_rows": 0,
+            "worst_condition": max(res.condition[healthy]),
+            "worst_residual": max(res.residual[healthy]),
+        }
 
     def test_failing_row_is_bisected_out(self, monkeypatch):
         # one degenerate shell (c = 0) in 201: the halves around it stay
@@ -423,11 +444,11 @@ class TestSweep:
         # against 1 + 201 + 1 for a row-by-row rerun
         assert len(builds) <= 2 * math.ceil(math.log2(201)) + 2
         monkeypatch.undo()
-        assert res.points[100].value == 0.0
-        for q in res.points:
-            self.assert_same_as_one_point_sweep(q)
-        assert "DegenerateMaterialError" in res.points[100].error
-        assert sum(bool(q.error) for q in res.points) == 1
+        assert res.value[100] == 0.0
+        for i in range(len(res.value)):
+            self.assert_same_as_one_point_sweep(res, i)
+        assert "DegenerateMaterialError" in res.error[100]
+        assert sum(bool(e) for e in res.error) == 1
 
     def test_singular_system_leaves_the_other_rows_solved(self, monkeypatch):
         bad = P11.scaled(complex(-1.9, 0.0))
@@ -443,7 +464,7 @@ class TestSweep:
         monkeypatch.setattr(nocore, "layered_system", singular_at_bad)
         res = sweep("re_c", -2.0, -1.8, 3, **self.RE_C)
         monkeypatch.undo()
-        assert "LinAlgError" in res.points[1].error
+        assert "LinAlgError" in res.error[1]
         self.assert_rows_match_point_solves(res, {-1.9})
 
     def test_source_failure_marks_every_row(self, monkeypatch):
@@ -453,7 +474,7 @@ class TestSweep:
         monkeypatch.setattr(nocore, "source_boundary_data", no_data)
         res = sweep("re_c", -2.0, -1.8, 3, matrix=P11, omega=1.0, R=1.0,
                     source=self.TWO_MODES, c_other=0.0)
-        assert all("NormalizationSingularError" in q.error for q in res.points)
+        assert all("NormalizationSingularError" in e for e in res.error)
 
     def test_stacked_solve_matches_single_solves(self):
         systems = [layered_system((P11.scaled(c), P11), (1.0,), 1.0, 5)
@@ -461,23 +482,37 @@ class TestSweep:
         rhs = np.arange(1.0, 5.0) * (1.0 - 0.5j)
         # the whole stack, and the one-row stacks of the per-row fallback
         for rows in ([0, 1, 2], [1]):
-            sol, cond = nocore._solve_stack(np.stack(systems)[rows], rhs)
-            assert sol.shape == (len(rows), 4) and cond.shape == (len(rows),)
-            for x, c, k in zip(sol, cond, rows):
+            sol, cond, res = nocore._solve_stack(np.stack(systems)[rows], rhs)
+            assert sol.shape == (len(rows), 4)
+            assert cond.shape == res.shape == (len(rows),)
+            for x, c, r, k in zip(sol, cond, res, rows):
+                assert np.array_equal(x, np.linalg.solve(systems[k], rhs))
+                assert float(c) == float(np.linalg.cond(systems[k]))
+                oracle = residual_oracle(systems[k], x, rhs)
+                assert abs(r - oracle) <= 1e-15 * oracle
                 want = solve_mode(systems[k], rhs, 5)
                 assert np.array_equal(x.reshape(-1, 2), want.phi)
-                assert float(c) == want.condition
+                assert (float(c), float(r)) == (want.condition, want.residual)
 
     def test_no_source_modes_gives_error_rows(self):
         res = sweep("re_c", 0.5, 1.0, 3, matrix=P11, omega=1.0, R=1.0,
                     source=SourceModes(()), c_other=0.0)
-        assert len(res.points) == 3
-        assert all("ValueError" in q.error and math.isnan(q.energy)
-                   for q in res.points)
+        assert len(res.value) == 3
+        assert all("ValueError" in e for e in res.error)
+        assert np.isnan(res.energy).all()
+        assert res.health["error_rows"] == 3
+        assert res.health["worst_condition"] == -math.inf
+        with pytest.raises(RuntimeError, match="no valid points"):
+            res.peak
 
     def test_log_axis_validation(self):
         with pytest.raises(ValueError):
             sweep("im_c", -1.0, 1.0, 5, matrix=P11, omega=1.0, R=1.0,
+                  source=SourceModes.single(5, 1.0, 0.0), c_other=-1.9,
+                  scale="log")
+        # one step is still a log axis, and -1 is not on it
+        with pytest.raises(ValueError, match="positive endpoints"):
+            sweep("im_c", -1.0, -1.0, 1, matrix=P11, omega=1.0, R=1.0,
                   source=SourceModes.single(5, 1.0, 0.0), c_other=-1.9,
                   scale="log")
         with pytest.raises(ValueError):

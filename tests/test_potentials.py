@@ -21,6 +21,7 @@ from conftest import (
 from elastodisk.media import LameParams, wavenumbers
 from elastodisk.potentials import (
     layered_system,
+    region_energy,
     scalar_slp_mode,
     slp_trace,
     traction_matrix,
@@ -435,3 +436,19 @@ class TestLayeredBatch:
     def test_batch_lengths_must_agree(self, materials):
         with pytest.raises(ValueError, match="batched materials"):
             layered_system(materials, (1.0,), 1.0, 5)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("materials, radii, k", [
+        ((SHELLS, P11), (1.0,), 0),  # the disk
+        ((LameParams(0.7, 1.2), SHELLS, LameParams(1.3, 0.9)), (0.8, 1.0), 1),  # shell
+    ], ids=["disk", "shell"])
+    def test_stacked_region_energy_is_per_system(self, rng, size, materials, radii, k):
+        materials = [p if isinstance(p, LameParams) else p[:size] for p in materials]
+        stack = layered_system(materials, radii, 5.0, 7)
+        shape = (size, 2 * len(radii), 2)
+        phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = region_energy(stack, phi, radii, k)
+        assert got.shape == (size,)
+        for e, system, densities in zip(got, stack, phi):
+            alone = region_energy(system, densities, radii, k)
+            assert type(alone) is float and float(e).hex() == alone.hex()
