@@ -177,8 +177,8 @@ def tune_p(
     batched material, with the core and matrix blocks built once and
     shared, and one `np.linalg.det` runs over the (steps, 8, 8) stack.  A
     scan point has the same bits in any scan, and is the scalar-path
-    `abs(det_m(cfg, p))` to the rounding of the array special-function
-    path.  The golden-section refinement calls `det_m` point by point.
+    `abs(det_m(cfg, p))` to the rounding of the batch's cylinder values and
+    entries.  The golden-section refinement calls `det_m` point by point.
     """
     lo, hi = scan_interval(cfg.n0, lo, hi)
     if steps < MIN_SCAN_STEPS:

@@ -36,6 +36,7 @@ from .fields import LayeredField, eval_total_field, polar_grid
 from .media import AnnulusGeometry, LameParams
 from .nocore import SourceModes, SourceTerm, solve_modes, sweep
 from .np_spectrum import np_eigensystem, np_matrix
+from .specfun import RELATIVE_ENVELOPE
 
 
 class ConfigError(ValueError):
@@ -196,7 +197,8 @@ def _run_sweep(cfg: dict, out: Path, manifest: ManifestWriter, args) -> None:
         manifest.add_output(
             write_csv(out / "sweep_errors.csv", ["axis_value", "error"], bad)
         )
-    manifest.data["health"] = result.health
+    low = result.condition[result.ok] * RELATIVE_ENVELOPE > 1e-6  # < 6 good digits
+    manifest.data["health"] = {**result.health, "low_digit_rows": int(low.sum())}
     peak = rows[result.peak]
     manifest.data["peak"] = {"axis_value": peak[0], "abs_psi11": peak[1]}
     if args.svg:

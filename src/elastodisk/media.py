@@ -9,6 +9,9 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 class DegenerateMaterialError(ValueError):
@@ -57,7 +60,7 @@ def convexity_check(p: LameParams) -> Convexity:
 
 @dataclass(frozen=True)
 class Wavenumbers:
-    """Shear and pressure wavenumbers for a material at frequency omega."""
+    """Shear and pressure wavenumbers at frequency omega (arrays for a batch)."""
 
     ks: complex
     kp: complex
@@ -66,28 +69,41 @@ class Wavenumbers:
 
 def _branch_root(w: complex) -> complex:
     # Principal square root flipped so that Im >= 0; exact ties resolved
-    # to Re > 0 (outgoing Hankel fields decay under losses).
-    r = cmath.sqrt(w)
-    if r.imag < 0.0 or (r.imag == 0.0 and r.real < 0.0):
-        r = -r
-    return r
+    # to Re > 0 (outgoing Hankel fields decay under losses); per entry.
+    array = isinstance(w, np.ndarray)
+    r = (np if array else cmath).sqrt(w)
+    flip = (r.imag < 0.0) | ((r.imag == 0.0) & (r.real < 0.0))
+    return np.where(flip, -r, r) if array else (-r if flip else r)
 
 
-def wavenumbers(p: LameParams, omega: float) -> Wavenumbers:
-    """ks = omega/sqrt(mu), kp = omega/sqrt(lam + 2 mu), branch Im k >= 0."""
+def wavenumbers(p: LameParams | Sequence[LameParams], omega: float) -> Wavenumbers:
+    """ks = omega/sqrt(mu), kp = omega/sqrt(lam + 2 mu), branch Im k >= 0.
+
+    A sequence of materials gives arrays, the same roots in numpy: each
+    entry has the same bits in any batch and is its material's own call to
+    rounding, except a non-finite entry, which is that call and raises.
+    """
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
+    if not isinstance(p, LameParams):
+        lam, mu = np.array([(q.lam, q.mu) for q in p], dtype=complex).T.copy()
+        with np.errstate(all="ignore"):
+            ks = _branch_root(omega * omega / mu)
+            kp = _branch_root(omega * omega / (lam + 2.0 * mu))
+        for i in np.flatnonzero(~(np.isfinite(ks) & np.isfinite(kp))):
+            wn = wavenumbers(p[i], omega)  # raises, unless numpy alone overflowed
+            ks[i], kp[i] = wn.ks, wn.kp
+        return Wavenumbers(ks=ks, kp=kp, omega=float(omega))
     if p.mu == 0:
         raise DegenerateMaterialError("mu = 0")
     if p.lam + 2.0 * p.mu == 0:
         raise DegenerateMaterialError("lam + 2 mu = 0")
     ks = _branch_root(omega * omega / p.mu)
     kp = _branch_root(omega * omega / (p.lam + 2.0 * p.mu))
-    for k in (ks, kp):
-        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
-            raise DegenerateMaterialError(
-                f"wavenumbers overflow for moduli {p.mu!r}, {p.lam + 2 * p.mu!r}"
-            )
+    if not (cmath.isfinite(ks) and cmath.isfinite(kp)):
+        raise DegenerateMaterialError(
+            f"wavenumbers overflow for moduli {p.mu!r}, {p.lam + 2 * p.mu!r}"
+        )
     return Wavenumbers(ks=ks, kp=kp, omega=float(omega))
 
 

@@ -114,9 +114,8 @@ class NewtonianPotential:
             pair = cyl_pair(n, z)
             rows = [_trace_entries(shear, n, z, pair.j, pair.jp)]
             if traction:
-                rows.append(
-                    _traction_entries(shear, n, k, r, z, pair.j, pair.jp, self.params)
-                )
+                rows.append(_traction_entries(shear, n, k, r, z, pair.j, pair.jp,
+                                              self.params.lam, self.params.mu))
             sums.append(c * np.array(rows))
         return sums[0] + sums[1]
 
@@ -350,8 +349,8 @@ def sweep(
     modes.  Every row has the same bits whatever else its batch holds, so
     it is the one-point sweep's row bit for bit however the batch was
     split; it is the result of `solve_modes` at that point alone to the
-    rounding of the array special-function path (see
-    `potentials.layered_system`).
+    rounding of the batch's cylinder values and entries, times the
+    condition (see `potentials.layered_system`).
     """
     if axis not in ("re_c", "im_c"):
         raise ValueError(f"axis must be 're_c' or 'im_c', got {axis!r}")

@@ -14,14 +14,14 @@ the same Q/P entry formulas.  `layered_system` assembles the transmission
 system of any number of concentric interfaces from these blocks, and
 `region_energy` reads a region's dissipation back off that system.
 
-Every block comes from one kernel, `_slp_blocks`, in two stages: a scalar
-stage per material (wavenumbers, weights and entries in Python complex
-arithmetic; the cylinder values of a batch from one `cyl_pairs` call, of a
-single material from `cyl_pair`) and an array stage over the whole batch
-(the weighted sums and the traction jump in numpy).  Every step works entry
-by entry, so a batched system has the same bits in any batch, a batch of
-one included, and a single-material build is the scalar path bit for bit;
-numpy agrees with itself for any length or stride if operand order is kept.
+Every block comes from one kernel, `_slp_blocks`.  Its entry stage
+(wavenumbers, cylinder values, one per-link text for the weights and the
+Q/P entries) runs on Python complex values and the cached `cyl_pair` for a
+single material, the scalar path bit for bit, and on numpy arrays with one
+`cyl_pairs` call for a batch; its array stage sums and jumps in numpy.  As
+every step works entry by entry, a batched system has the same bits in any
+batch, a batch of one included, and is its single-material build to the
+rounding of cylinder values and entries.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .media import LameParams, wavenumbers
-from .specfun import CylPair, cyl_pair, cyl_pairs
+from .specfun import cyl_pair, cyl_pairs
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -50,15 +50,14 @@ def _trace_entries(shear: bool, n: int, z: complex, f: complex, fp: complex):
 
 def _traction_entries(
     shear: bool, n: int, k: complex, r: float, z: complex, f: complex, fp: complex,
-    p: LameParams,
+    lam: complex, mu: complex,
 ):
     """(nu, t) traction entries of Q_n (shear) or P_n at r, z = k r.
 
     The material enters through mu and through omega^2 r^2, recovered from
     k and the Lame pair, so callers never pass an inconsistent frequency.
     """
-    mu = p.mu
-    omega2 = (mu if shear else (p.lam + 2.0 * mu)) * k * k
+    omega2 = (mu if shear else (lam + 2.0 * mu)) * k * k
     edge = 4.0 * n * mu * (z * fp - f) / (k * r * r)
     body = 2.0 * ((2.0 * mu * n * n - omega2 * r * r) * f - 2.0 * mu * z * fp) / (
         k * r * r
@@ -69,8 +68,8 @@ def _traction_entries(
 
 
 def _radial(pair, entire: bool) -> tuple[complex, complex]:
-    """(f, f') of a `CylPair`: J for entire fields, H for radiating ones."""
-    return (pair.j, pair.jp) if entire else (pair.h, pair.hp)
+    """(f, f') of a cylinder pair, one or (4, B): J if entire, else H."""
+    return pair[:2] if entire else pair[2:]
 
 
 def _radius(x) -> float:
@@ -103,64 +102,57 @@ def _slp_blocks(p, omega: float, n: int, links) -> np.ndarray:
     needed when r > R) or the interior one; `jump` takes the interior limit
     of the traction on the SLP's own circle.  Returns (K, 4, 2), the 2x2
     trace over the 2x2 traction per link, or (B, K, 4, 2) for a sequence of
-    B materials.  Scalar stage: every entry's `wavenumbers` first; for a
-    sequence (any B, one included), the cylinder values of every distinct
-    k r over all entries and radii from one `cyl_pairs` call, each with the
-    same bits in any batch; for a single material, one cached `cyl_pair`
-    per distinct k r; then per link 12 Python scalars, the weights (wq_nu,
+    B materials.  Entry stage: the wavenumbers, the cylinder values at k r
+    for each distinct radius, then per link 12 entries, the weights (wq_nu,
     wq_t, wp_nu, wp_t) then the Q and P entries (trace nu, t, traction nu,
-    t), in a preallocated (B, K, 12) array.  Array stage: the column of
+    t): Python scalars for one material, (B,) arrays for a sequence, which
+    raises as a whole for a degenerate entry.  Array stage: the column of
     density c is wq_c Q + wp_c P, then - I.
     """
-    batch = not isinstance(p, LameParams)
-    for R, r, _, _ in links:
-        if R <= 0.0 or r <= 0.0:
-            raise ValueError("evaluation radius must be positive")
+    single = isinstance(p, LameParams)
+    radii = list(dict.fromkeys(x for link in links for x in link[:2]))
+    if min(radii) <= 0.0:
+        raise ValueError("evaluation radius must be positive")
     om2 = complex(omega) * complex(omega)
-    entries = p if batch else (p,)
-    wns = [wavenumbers(q, omega) for q in entries]
-    lookup = cyl_pair
-    if batch:
-        radii = [x for link in links for x in link[:2]]
-        args = list(dict.fromkeys(
-            k * x for wn in wns for x in radii for k in (wn.ks, wn.kp)
-        ))
-        values = (a.tolist() for a in cyl_pairs(n, args))
-        table = dict(zip(args, map(CylPair, *values)))
-        lookup = lambda n, z: table[z]
-    rows = np.empty((len(entries), len(links), 12), dtype=complex)
-    for b, (q, wn) in enumerate(zip(entries, wns)):
-        ks, kp = wn.ks, wn.kp
-        pairs = {}
-        for i, (R, r, exterior, _) in enumerate(links):
-            for x in (R, r):
-                if x not in pairs:
-                    pairs[x] = (lookup(n, ks * x), lookup(n, kp * x))
-            fs, fsp = _radial(pairs[R][0], exterior)
-            fp, fpp = _radial(pairs[R][1], exterior)
-            pref_nu = -1j * math.pi / (4.0 * om2 * R)
-            pref_t = -math.pi / (4.0 * om2 * R)
-            zs, zp = ks * R, kp * R
-            g, gp = _radial(pairs[r][0], not exterior)
-            h, hp = _radial(pairs[r][1], not exterior)
-            ws, wp = ks * r, kp * r
-            rows[b, i] = (
-                pref_nu * n * zs * fs,
-                pref_t * zs * zs * fsp,
-                pref_nu * zp * zp * fpp,
-                pref_t * n * zp * fp,
-                *_trace_entries(True, n, ws, g, gp),
-                *_traction_entries(True, n, ks, r, ws, g, gp, q),
-                *_trace_entries(False, n, wp, h, hp),
-                *_traction_entries(False, n, kp, r, wp, h, hp, q),
-            )
+    wn = wavenumbers(p, omega)
+    ks, kp = wn.ks, wn.kp
+    if single:
+        lam, mu = p.lam, p.mu
+        pairs = {x: (cyl_pair(n, ks * x), cyl_pair(n, kp * x)) for x in radii}
+    else:
+        lam, mu = np.array([(q.lam, q.mu) for q in p], dtype=complex).T.copy()
+        args = np.concatenate([k * x for x in radii for k in (ks, kp)])
+        values = np.reshape(cyl_pairs(n, args), (4, len(radii), 2, -1))
+        pairs = dict(zip(radii, values.transpose(1, 2, 0, 3)))
+    # B outermost, as for the array stage; a batch is filled through (K, 12, B)
+    rows = np.empty((len(links), 12) if single else (len(ks), len(links), 12), complex)
+    fill = rows if single else rows.transpose(1, 2, 0)
+    for i, (R, r, exterior, _) in enumerate(links):
+        fs, fsp = _radial(pairs[R][0], exterior)
+        fp, fpp = _radial(pairs[R][1], exterior)
+        pref_nu = -1j * math.pi / (4.0 * om2 * R)
+        pref_t = -math.pi / (4.0 * om2 * R)
+        zs, zp = ks * R, kp * R
+        g, gp = _radial(pairs[r][0], not exterior)
+        h, hp = _radial(pairs[r][1], not exterior)
+        ws, wp = ks * r, kp * r
+        fill[i] = (
+            pref_nu * n * zs * fs,
+            pref_t * zs * zs * fsp,
+            pref_nu * zp * zp * fpp,
+            pref_t * n * zp * fp,
+            *_trace_entries(True, n, ws, g, gp),
+            *_traction_entries(True, n, ks, r, ws, g, gp, lam, mu),
+            *_trace_entries(False, n, wp, h, hp),
+            *_traction_entries(False, n, kp, r, wp, h, hp, lam, mu),
+        )
     # Weights first: numpy's complex multiply (FMA) is not commutative bitwise.
     blocks = rows[..., None, 0:2] * rows[..., 4:8, None]
     blocks += rows[..., None, 2:4] * rows[..., 8:12, None]
     jumps = [i for i, link in enumerate(links) if link[3]]
     if jumps:
-        blocks[:, jumps, 2:] -= _I2
-    return blocks if batch else blocks[0]
+        blocks[..., jumps, 2:, :] -= _I2
+    return blocks
 
 
 def slp_trace(
@@ -214,11 +206,11 @@ def layered_system(
     system, or a sequence of B of them, one per system; with any sequence
     the result is the (B, 4L, 4L) stack.  A shared material's blocks are
     built once and broadcast over the stack; a batched material's blocks are
-    built by the same kernel, entry by entry up to the array stage.  A
-    batched system has the same bits in any batch, a batch of one included
-    (its cylinder values come from `cyl_pairs`); a build from single
-    materials alone is the scalar path bit for bit, and agrees with the
-    batched one to the rounding of the two special-function paths.
+    built by the same kernel in array arithmetic end to end.  A batched
+    system has the same bits in any batch, a batch of one included; a
+    build from single materials alone is the scalar path bit for bit, and
+    agrees with the batched one to the rounding of the cylinder values and
+    the entries.
     """
     L = len(radii)
     if L < 1 or len(materials) != L + 1:

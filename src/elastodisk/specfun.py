@@ -60,6 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
+# Relative error bound of every path, as the mpmath checks enforce it.
+RELATIVE_ENVELOPE = 5e-12
 
 _SERIES_RADIUS = 8.0
 _ASYMP_RADIUS = 17.0
@@ -383,13 +385,15 @@ def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     Entry i agrees with `cyl_pair(n, zs[i])` to rounding (see the module
     notes) and has the same bits in any batch.  A -0.0 part of an argument
     counts as +0.0 here too; a non-finite or zero argument raises that
-    call's ValueError for the whole batch.
+    call's ValueError for the whole batch, the first such argument's.
     """
-    zs = [_checked(z) for z in zs]
-    if 0 in zs:
-        cyl_pair(n, 0j)  # raises the scalar path's error
-    m = abs(int(n))
     z = np.array(zs, dtype=complex)
+    if not np.isfinite(z).all():
+        _checked(z[np.argmin(np.isfinite(z))])  # raises the scalar path's error
+    if not z.all():
+        cyl_pair(n, 0j)  # likewise
+    z = z + 0.0  # -0.0 parts read as +0.0, exact for nonzero parts
+    m = abs(int(n))
     lower = z.imag < 0.0
     w = np.where(lower, z.conjugate(), z)
     small = np.abs(w) <= _SERIES_RADIUS
@@ -411,7 +415,7 @@ def cyl_pairs(n: int, zs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
             hd = np.where(low, 2.0 * jd - hd.conjugate(), hd)
             out[:, small] = jv, jd, hv, hd
         for i in np.flatnonzero(~small):
-            out[:, i] = cyl_pair(m, zs[i])
+            out[:, i] = cyl_pair(m, z[i])
     if n < 0 and m % 2 == 1:
         out = -out
     return tuple(out)

@@ -111,7 +111,7 @@ def wave_entries(shear, interior, n, k, r, p=None) -> np.ndarray:
     f, fp = _radial(cyl_pair(n, z), interior)
     if p is None:
         return np.array(_trace_entries(shear, n, z, f, fp))
-    return np.array(_traction_entries(shear, n, k, r, z, f, fp, p))
+    return np.array(_traction_entries(shear, n, k, r, z, f, fp, p.lam, p.mu))
 
 
 def incident_displacement(pot, x) -> np.ndarray:

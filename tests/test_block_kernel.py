@@ -16,7 +16,12 @@ from block_reference import assert_within_cylinder_gap
 from conftest import KINDS, wave_entries
 from elastodisk import potentials
 from elastodisk.calr import recipe_config, shifted_shell
-from elastodisk.media import AnnulusGeometry, LameParams
+from elastodisk.media import (
+    AnnulusGeometry,
+    DegenerateMaterialError,
+    LameParams,
+    wavenumbers,
+)
 from elastodisk.nocore import (
     NewtonianPotential,
     NormalizationSingularError,
@@ -150,9 +155,11 @@ def sweep_shells(count):
 @pytest.mark.parametrize("size", (1, 7, 17))
 @pytest.mark.parametrize("radii, per_entry", [((1.0,), 2), ((0.8, 1.0), 4)])
 def test_one_array_call_per_batch(monkeypatch, radii, per_entry, size):
-    # every distinct k r of the batched entries, two per radius each entry
-    # touches, goes into one cyl_pairs call whatever the batch size; the
-    # shared materials still look theirs up one by one, two per radius
+    # the batched material's wavenumbers come from one array call, and
+    # every distinct k r of its entries, two per radius each entry touches,
+    # goes into one cyl_pairs call whatever the batch size; each shared
+    # material has its own wavenumbers call and looks its cylinder values
+    # up one by one, two per radius
     scalar, batches, wavenumbers = [], [], []
     cyl_pairs = potentials.cyl_pairs
 
@@ -178,7 +185,7 @@ def test_one_array_call_per_batch(monkeypatch, radii, per_entry, size):
     (args,) = batches
     assert len(args) == len(set(args)) == per_entry * len(shells)
     assert len(scalar) == 2 * len(radii)
-    assert len(wavenumbers) == len(shells) + len(radii)
+    assert wavenumbers == [*shared, shells, P11]
     for k, shell in enumerate(shells):
         assert_within_cylinder_gap(stack[k], (*shared, shell, P11), radii, 1.0, 5)
 
@@ -202,14 +209,43 @@ def test_array_path_systems_match_reference(n):
 @pytest.mark.parametrize("radii, per_entry", [((1.0,), 2), ((0.8, 1.0), 4)])
 def test_array_path_rows_independent_of_the_batch(radii, per_entry, n):
     # a shell's system has the same bits whatever the other shells of its
-    # batch are and wherever it stands among them, alone included
-    shells = sweep_shells(17)
-    others = [P11.scaled(complex(0.2 + 0.01 * k, 1e-3)) for k in range(len(shells))]
-    mixed = others[:5] + shells[::-1] + others[5:]
+    # batch are and wherever it stands among them, alone included, for
+    # batch sizes that reach numpy's vector loop bodies and their tails
     shared = (P11,) * (len(radii) - 1)
-    stack = layered_system((*shared, shells, P11), radii, 1.0, n)
-    other = layered_system((*shared, mixed, P11), radii, 1.0, n)
-    for k, shell in enumerate(shells):
-        assert_same_bits(other[mixed.index(shell)], stack[k])
-        alone = layered_system((*shared, [shell], P11), radii, 1.0, n)
-        assert_same_bits(alone[0], stack[k])
+    for size in (*range(1, 10), 16, 17, 33):
+        shells = sweep_shells(size)
+        others = [P11.scaled(complex(0.2 + 0.01 * k, 1e-3)) for k in range(size)]
+        mixed = others[:5] + shells[::-1] + others[5:]
+        stack = layered_system((*shared, shells, P11), radii, 1.0, n)
+        other = layered_system((*shared, mixed, P11), radii, 1.0, n)
+        for k, shell in enumerate(shells):
+            assert_same_bits(other[mixed.index(shell)], stack[k])
+            alone = layered_system((*shared, [shell], P11), radii, 1.0, n)
+            assert_same_bits(alone[0], stack[k])
+
+
+DEGENERATE = {
+    "mu_zero": LameParams(1.0, 0.0),
+    "lam_2mu_zero": LameParams(-2.0, 1.0),
+    "overflow": LameParams(0.0, complex(0.0, 5e-313)),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_entry_raises_its_own_error(name):
+    # a batch holding a degenerate entry raises that entry's scalar error
+    # wherever it stands, alone included; with several, the first one's
+    bad = DEGENERATE[name]
+    with pytest.raises(DegenerateMaterialError) as scalar:
+        wavenumbers(bad, 1.0)
+    shells = sweep_shells(8)
+    for at in (0, 3, 8):
+        for batch in ([bad], shells[:at] + [bad] + shells[at:]):
+            with pytest.raises(DegenerateMaterialError) as array:
+                layered_system((batch, P11), (1.0,), 1.0, 5)
+            assert str(array.value) == str(scalar.value)
+    rest = [p for p in DEGENERATE.values() if p is not bad]
+    with pytest.raises(DegenerateMaterialError) as array:
+        layered_system((P11, shells[:2] + [bad] + rest + shells[2:], P11),
+                       (0.8, 1.0), 1.0, 5)
+    assert str(array.value) == str(scalar.value)

@@ -8,6 +8,7 @@ import pytest
 from elastodisk.artifacts import ManifestWriter, write_json
 from elastodisk.cli import main
 from elastodisk.nocore import CONDITION_NEAR_SINGULAR
+from elastodisk.specfun import RELATIVE_ENVELOPE
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -164,10 +165,31 @@ class TestSweepCommand:
             "near_singular_rows": sum(c > CONDITION_NEAR_SINGULAR for c in condition),
             "worst_condition": max(condition),
             "worst_residual": max(residual),
+            "low_digit_rows": sum(c * RELATIVE_ENVELOPE > 1e-6 for c in condition),
         }
         # the loss sweep passes the resonance: its worst row is ill-conditioned
         assert manifest["health"]["worst_condition"] > 1e10
         assert not (out / "sweep_errors.csv").exists()
+
+    def test_manifest_counts_low_digit_rows(self, tmp_path):
+        # a healthy row whose condition times the special-function envelope
+        # exceeds 1e-6 keeps fewer than 6 digits: every row of the loss
+        # sweep (its best condition is about 6e7), no row of a sweep far
+        # from the resonance
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "resonance_im_sweep.yaml"
+        far = write(tmp_path, "far.yaml",
+                    SWEEP_YAML.replace("-2.05", "-1.5").replace("-1.85", "-1.0"))
+        counts = []
+        for name, config in (("im", str(cfg)), ("far", far)):
+            out = tmp_path / name
+            assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()[1:]
+            condition = [float(r.split(",")[3]) for r in lines]
+            manifest = json.loads((out / "manifest.json").read_text())
+            low = sum(c * RELATIVE_ENVELOPE > 1e-6 for c in condition)
+            assert manifest["health"]["low_digit_rows"] == low
+            counts.append((low, len(condition)))
+        assert counts == [(121, 121), (0, 101)]
 
     def test_single_step(self, tmp_path):
         cfg = write(tmp_path, "one.yaml",

@@ -1,6 +1,7 @@
 """Material parameters, wavenumbers, branch rule, geometry."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,23 @@ class TestWavenumbers:
         w1, w2 = wavenumbers(p, 1.1), wavenumbers(p, a * 1.1)
         assert w2.ks == pytest.approx(a * w1.ks, rel=1e-14)
         assert w2.kp == pytest.approx(a * w1.kp, rel=1e-14)
+
+    def test_batch_agrees_with_single_calls(self):
+        # numpy arithmetic: each entry within a few ulp of its material's own
+        # call, on the Im k >= 0 branch, with the same bits in a batch of one
+        rng = np.random.default_rng(7)
+        ps = [LameParams(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+              for _ in range(33)] + [LameParams(2.0, 3.0), LameParams(-1.9, -0.6)]
+        for omega in (1e-3, 1.0, 20.0):
+            batch = wavenumbers(ps, omega)
+            for i, p in enumerate(ps):
+                one, alone = wavenumbers(p, omega), wavenumbers([p], omega)
+                for got, want, solo in zip((batch.ks[i], batch.kp[i]),
+                                           (one.ks, one.kp), (alone.ks, alone.kp)):
+                    assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+                    assert got.imag >= 0
+                    assert solo.view(np.uint64).tolist() == np.array(
+                        [got]).view(np.uint64).tolist()
 
 
 class TestConvexity:

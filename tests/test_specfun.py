@@ -120,11 +120,13 @@ class TestSignedZeros:
         )
 
     def test_array_path_reads_plus_zero(self):
-        zs = [complex(-7.0, -0.0), complex(-0.0, 3.0), complex(-0.0, -3.0)]
-        got = cyl_pairs(200, zs)
+        # as a list or an ndarray, on both sides of |z| = 8
+        zs = [complex(-7.0, -0.0), complex(-0.0, 3.0), complex(-0.0, -3.0),
+              complex(-12.0, -0.0), complex(-0.0, 9.0)]
         twins = cyl_pairs(200, [complex(z.real + 0.0, z.imag + 0.0) for z in zs])
-        for a, b in zip(got, twins):
-            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+        for got in (cyl_pairs(200, zs), cyl_pairs(200, np.array(zs))):
+            for a, b in zip(got, twins):
+                assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
 
 
 class TestHankel1:
@@ -403,6 +405,20 @@ class TestCylPairs:
         with pytest.raises(ValueError) as array:
             cyl_pairs(4, zs)
         assert str(array.value) == str(scalar.value)
+
+    def test_array_input_raises_the_first_bad_argument_error(self):
+        # non-finite arguments before zeros, each named as the scalar path
+        # names it, the first one in the batch
+        zs = np.array(branch_arguments(50))
+        zs[[5, 17, 30]] = 0j, complex(1.0, math.inf), complex("nan")
+        for fixed, bad in ((None, 17), (17, 30), (30, 5)):
+            if fixed is not None:
+                zs[fixed] = 1.0
+            with pytest.raises(ValueError) as scalar:
+                cyl_pair(4, zs[bad])
+            with pytest.raises(ValueError) as array:
+                cyl_pairs(4, zs)
+            assert str(array.value) == str(scalar.value)
 
 
 def corner_arguments(count, seed=3):
